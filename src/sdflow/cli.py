@@ -430,12 +430,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
+            # file values become defaults, so any flag or positional given wins
             subparser = commands[args.command]
-            overrides = _load_config(args.config, {a.dest for a in subparser._actions})
-            for key, val in overrides.items():
-                action = next(a for a in subparser._actions if a.dest == key)
-                if not _flag_given(argv, action):
-                    setattr(args, key, _coerce(action, val))
+            actions = {a.dest: a for a in subparser._actions}
+            overrides = _load_config(args.config, set(actions))
+            subparser.set_defaults(**{k: _coerce(actions[k], v) for k, v in overrides.items()})
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except ValueError as exc:
@@ -450,15 +450,13 @@ def main(argv=None) -> int:
         return 1
 
 
-def _flag_given(argv, action) -> bool:
-    return any(opt in argv for opt in action.option_strings)
-
-
 def _coerce(action, val: str):
     if isinstance(action.const, bool):
         return val.lower() in ("1", "true", "yes")
     if action.type is not None:
-        return action.type(val)
+        val = action.type(val)
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(f"config {action.dest}={val!r} is not one of {list(action.choices)}")
     return val
 
 

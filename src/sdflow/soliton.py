@@ -1,32 +1,35 @@
 """Profile ODEs for graphical solitons of the surface diffusion flow.
 
-The three profile equations (equilibrium, self-similar, travelling wave)
-are integrated as one first-order system in the state
+Each profile phi(y) of the three kinds (equilibrium, self-similar,
+travelling wave) is shot as a plane curve (y(s), phi(s)) in its signed
+arc length s from the initial point, with the state
 
-    (phi, psi, k, w, S),   psi = dphi/dy,   v = sqrt(1 + psi^2),
+    (y, phi, theta, k, w, chi),   tan theta = psi = dphi/dy,
 
-where the curvature k and the weighted curvature derivative
-w = (1/v) dk/dy are carried as independent states and S is the signed
-arc length measured from y = 0.  Carrying k and w keeps the first
-integrals of the equilibrium equation directly observable and avoids
-differentiating through v^3 twice.
+where theta is the tangent angle, k = dtheta/ds the curvature and
+w = dk/ds = (1/v) dk/dy, v = sqrt(1 + psi^2).  The system
 
-The closure equations are
+    dy/ds = cos theta,   dphi/ds = sin theta,   dtheta/ds = k,   dk/ds = w,
+    dw/ds = 0,      dchi/ds = 0                              (steady)
+    dw/ds = -chi/4, dchi/ds = -k (y cos theta + phi sin theta),
+                    chi = (phi - y psi)/v                    (self-similar)
+    dw/ds = chi,    dchi/ds = k (a cos theta + b sin theta),
+                    chi = (a psi - b)/v                      (travelling wave,
+                                                              direction (a, b))
 
-    dphi/dy = psi
-    dpsi/dy = k v^3
-    dk/dy   = w v
-    dS/dy   = v
-    dw/dy   = 0                      (steady)
-            = -(phi - y psi)/4       (self-similar)
-            = a psi - b              (travelling wave, direction (a, b))
+is smooth through a vertical tangent, and chi makes every line of the
+kind an exact fixed point in floating point.
 
-Integration is by an adaptive Dormand-Prince 5(4) pair with cubic
-Hermite dense output.  A run ends either with the budget exhausted or
-with a breakdown certificate: loss of graphicality (slope beyond the
-configured ceiling), an excess-turning witness (accumulated plus
-projected turning above pi on an interval of constant curvature sign),
-or a numerical failure (non-finite state, step underflow).
+Integration is by an adaptive Dormand-Prince 5(4) pair.  Its native
+dense output and one root-finder locate every event: the y budget,
+uniform output points in y, and the loss of graphicality, where |psi|
+reaches the slope ceiling.  Trajectories are reported in y up to that
+point.  The curve is then followed past the vertical, unrecorded, until
+the curvature changes sign or the turning on the current arc of constant
+curvature sign is observed above pi.  A run thus ends with the budget
+exhausted or with a breakdown certificate: an excess-turning witness
+(the observed turning and its arc), graphicality loss (the slope at the
+event), or a numerical failure (non-finite state, step underflow).
 """
 
 from __future__ import annotations
@@ -131,7 +134,6 @@ class IntegratorOptions:
     initial_step: float = 1e-3
     slope_ceiling: float = 1e6
     theta_sample: float = 0.01
-    event_tol: float = 1e-9
     triviality_tol: float = 1e-9
     # Uniform output spacing; overrides theta-resolved sampling so that
     # finite-difference identity checks see an exactly uniform grid.
@@ -139,7 +141,7 @@ class IntegratorOptions:
 
     def validate(self) -> None:
         for name in ("abs_tol", "rel_tol", "min_step", "max_step", "initial_step",
-                     "slope_ceiling", "theta_sample", "event_tol", "triviality_tol"):
+                     "slope_ceiling", "theta_sample", "triviality_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"option {name} must be positive")
         if self.sample_h is not None and self.sample_h <= 0:
@@ -151,10 +153,11 @@ class BreakdownCertificate:
     """Machine-checkable witness that a profile is not an entire graph.
 
     kind is one of 'angle_excess', 'graphicality_loss', 'non_finite',
-    'step_underflow'.  For an angle-excess witness, detail carries the
-    interval, the turning bound (strictly above pi) and the curvature
-    floor used for the projection; for graphicality loss it carries the
-    slope magnitude at the event.
+    'step_underflow'; y_event is where graphicality was lost (or where
+    the numerical failure happened).  For an angle-excess witness, detail
+    carries the arc-length interval [S_a, S_b] of constant curvature sign
+    and the turning observed on it (strictly above pi); for graphicality
+    loss it carries the slope at the event and the ceiling it reached.
     """
 
     kind: str
@@ -276,144 +279,140 @@ class Trajectory:
 # vector field
 # --------------------------------------------------------------------------
 
-def vector_field(kind: SolitonKind, s: ProfileState):
-    """Right-hand side of the first-order profile system.
+def vector_field(kind: SolitonKind) -> Callable:
+    """Arc-length right-hand side of the profile system of ``kind``.
 
-    Returns (dphi, dpsi, dk, dw, dS, dy) with dy = 1.
+    Returns f(u) -> du/ds for the state u = (y, phi, theta, k, w, chi).
     """
-    v2 = 1.0 + s.psi * s.psi
-    v = math.sqrt(v2)
-    if kind.name == "steady":
-        dw = 0.0
-    elif kind.name == "selfsimilar":
-        dw = -0.25 * (s.phi - s.y * s.psi)
-    else:
-        dw = kind.a * s.psi - kind.b
-    return (s.psi, s.k * v2 * v, s.w * v, dw, v, 1.0)
-
-
-def _make_rhs(kind: SolitonKind) -> Callable:
-    """Specialized scalar RHS f(y, phi, psi, k, w) -> 5 derivatives."""
     if kind.name == "steady":
 
-        def f(y, phi, psi, k, w):
-            v2 = 1.0 + psi * psi
-            v = math.sqrt(v2)
-            return psi, k * v2 * v, w * v, 0.0, v
+        def f(u):
+            theta = u[2]
+            return math.cos(theta), math.sin(theta), u[3], u[4], 0.0, 0.0
 
     elif kind.name == "selfsimilar":
-        # internal variable chi = phi - y psi instead of phi: chi' = -y k v^3
-        # and w' = -chi/4, so the linear equilibria (chi = k = w = 0) are
-        # exact fixed points in floating point; phi = chi + y psi on output
 
-        def f(y, chi, psi, k, w):
-            v2 = 1.0 + psi * psi
-            v = math.sqrt(v2)
-            kv3 = k * v2 * v
-            return -y * kv3, kv3, w * v, -0.25 * chi, v
+        def f(u):
+            y, phi, theta, k, w, chi = u
+            c, s = math.cos(theta), math.sin(theta)
+            return c, s, k, w, -0.25 * chi, -k * (y * c + phi * s)
 
     else:
         a, b = kind.a, kind.b
 
-        def f(y, phi, psi, k, w):
-            v2 = 1.0 + psi * psi
-            v = math.sqrt(v2)
-            return psi, k * v2 * v, w * v, a * psi - b, v
+        def f(u):
+            _, _, theta, k, w, chi = u
+            c, s = math.cos(theta), math.sin(theta)
+            return c, s, k, w, chi, k * (a * c + b * s)
 
     return f
 
 
+def _initial_state(kind: SolitonKind, init: ProfileState) -> tuple:
+    """Arc-length state at ``init``; chi is 0 exactly on every line of the kind."""
+    if kind.name == "selfsimilar":
+        chi = (init.phi - init.y * init.psi) / init.v
+    elif kind.name == "travelling":
+        chi = (kind.a * init.psi - kind.b) / init.v
+    else:
+        chi = 0.0
+    return (init.y, init.phi, init.theta, init.k, init.w, chi)
+
+
 # --------------------------------------------------------------------------
-# Dormand-Prince 5(4) coefficients
+# Dormand-Prince 5(4) with its continuous extension
 # --------------------------------------------------------------------------
 
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
+# Stage rows of the tableau.  The system is autonomous, so the nodes are not
+# needed; the last row holds the 5th-order weights (first same as last).
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# difference between the 5th and the embedded 4th order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+# 5th-order minus embedded 4th-order weights over the seven stages
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# 4th-order continuous extension (Hairer, Norsett & Wanner, DOPRI5's CONTD5)
+_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
 )
 
-_PINNED_THETA = math.pi / 2.0 - 0.1  # slope clearly pinned at vertical
-_KMIN_FLOOR = 1e-8
-_ANGLE_MARGIN = 1e-9  # witness value is pi plus this margin
 
-
-def _hermite(s0, f0, s1, f1, h, tau):
-    """Cubic Hermite interpolant between two accepted step endpoints."""
-    t2 = tau * tau
-    t3 = t2 * tau
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + tau
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return tuple(
-        h00 * a + h10 * h * da + h01 * b + h11 * h * db
-        for a, da, b, db in zip(s0, f0, s1, f1)
+def _step(f, u, f0, h, atol, rtol):
+    """One step of size h from u with slope f0: (u1, the 7 stage slopes, error norm)."""
+    ks = [f0]
+    for row in _A:
+        hrow = [h * a for a in row]
+        u1 = tuple(x + sum(c * k[i] for c, k in zip(hrow, ks)) for i, x in enumerate(u))
+        ks.append(f(u1))
+    err = max(
+        abs(h * sum(e * k[i] for e, k in zip(_E, ks))) / (atol + rtol * max(abs(x), abs(x1)))
+        for i, (x, x1) in enumerate(zip(u, u1))
     )
+    return u1, ks, err
 
 
-class _Recorder:
-    """Sample buffer plus the running monitors of one integration."""
+def _dense(u, u1, ks, h) -> list:
+    """Per-component coefficients of the continuous extension over one step."""
+    coefs = []
+    for i, (x, x1) in enumerate(zip(u, u1)):
+        diff = x1 - x
+        bspl = h * ks[0][i] - diff
+        coefs.append((x, diff, bspl, diff - h * ks[6][i] - bspl,
+                      h * sum(d * k[i] for d, k in zip(_D, ks))))
+    return coefs
 
-    def __init__(self, y0: float, s0, theta0: float, store: bool):
-        self.store = store
-        self.ys = [y0]
-        self.rows = [s0]
-        self.max_abs_k = abs(s0[2])
-        self.theta0 = theta0
-        self.max_turning = 0.0
-        # angle monitor over maximal intervals of constant curvature sign
-        self.seg_sign = _sign(s0[2])
-        self.seg_y = y0
-        self.seg_theta = theta0
-        self.seg_kmin = abs(s0[2]) if self.seg_sign != 0 else math.inf
-        self.seg_best = (0.0, math.inf, y0)  # (turning, kmin, start) of best closed segment
 
-    def add(self, y, s, theta):
-        if self.store:
-            self.ys.append(y)
-            self.rows.append(s)
-        ak = abs(s[2])
-        if ak > self.max_abs_k:
-            self.max_abs_k = ak
-        turn = abs(theta - self.theta0)
-        if turn > self.max_turning:
-            self.max_turning = turn
-        sign = _sign(s[2])
-        if sign != self.seg_sign:
-            self._close_segment(y, theta)
-            self.seg_sign = sign
-            self.seg_y = y
-            self.seg_theta = theta
-            self.seg_kmin = ak if sign != 0 else math.inf
-        elif sign != 0 and ak < self.seg_kmin:
-            self.seg_kmin = ak
+def _poly(c, t: float) -> float:
+    """One component of the continuous extension at t in [0, 1] of the step."""
+    x, diff, bspl, c3, c4 = c
+    t1 = 1.0 - t
+    return x + t * (diff + t1 * (bspl + t * (c3 + t1 * c4)))
 
-    def _close_segment(self, y, theta):
-        turn = abs(theta - self.seg_theta)
-        if turn > self.seg_best[0]:
-            self.seg_best = (turn, self.seg_kmin, self.seg_y)
 
-    def segment(self, y, theta):
-        """Data of the still-open constant-sign interval ending at y."""
-        return abs(theta - self.seg_theta), self.seg_kmin, self.seg_y
+def _at(coefs, t: float) -> tuple:
+    return tuple(_poly(c, t) for c in coefs)
+
+
+def _root(g, t1: float, g1: float) -> float:
+    """Event location on (0, t1] for g(0) < 0 <= g(t1) = g1 (Illinois method).
+
+    Returns the bracket end on the g >= 0 side, so the event has happened
+    at the returned point; the bracket is shrunk to 1e-14 of the step.
+    """
+    t0, g0 = 0.0, g(0.0)
+    side = 0
+    for _ in range(100):
+        if t1 - t0 <= 1e-14:
+            break
+        t = (t0 * g1 - t1 * g0) / (g1 - g0)
+        gt = g(t)
+        if gt == 0.0:
+            return t
+        if gt > 0.0:
+            t1, g1 = t, gt
+            if side == 1:
+                g0 *= 0.5
+            side = 1
+        else:
+            t0, g0 = t, gt
+            if side == -1:
+                g1 *= 0.5
+            side = -1
+    return t1
+
+
+def _critical_angle(ceiling: float) -> float:
+    """Smallest angle whose tangent reaches ``ceiling`` in floating point."""
+    theta = math.atan(ceiling)
+    while math.tan(theta) < ceiling:
+        theta = math.nextafter(theta, math.pi)
+    return theta
 
 
 def _sign(x: float) -> int:
@@ -422,53 +421,6 @@ def _sign(x: float) -> int:
     if x < 0.0:
         return -1
     return 0
-
-
-def _certify(rec: _Recorder, y_end: float, s_end, direction: int,
-             opts: IntegratorOptions, failure: str) -> BreakdownCertificate:
-    """Build the strongest certificate supported by the recorded data.
-
-    Preference order: an excess-turning witness in the style of the
-    steady-state case analysis (observed turning on a constant-sign
-    interval, extended at the observed curvature floor until the bound
-    passes pi), then plain graphicality loss at the slope ceiling, then
-    the numerical failure itself.
-    """
-    psi_end = s_end[1]
-    theta_end = math.atan(psi_end)
-    turning, kmin, seg_start = rec.segment(y_end, theta_end)
-    if (
-        rec.seg_sign != 0
-        and kmin >= _KMIN_FLOOR
-        and math.isfinite(kmin)
-        and abs(theta_end) >= _PINNED_THETA
-    ):
-        target = math.pi + _ANGLE_MARGIN
-        extension = (target - turning) / kmin
-        a = min(seg_start, y_end + direction * extension)
-        b = max(seg_start, y_end + direction * extension)
-        return BreakdownCertificate(
-            kind="angle_excess",
-            y_event=y_end,
-            direction=direction,
-            detail={
-                "interval": [a, b],
-                "value": target,
-                "observed_turning": turning,
-                "kappa_min": kmin,
-            },
-        )
-    if abs(psi_end) >= opts.slope_ceiling:
-        return BreakdownCertificate(
-            kind="graphicality_loss",
-            y_event=y_end,
-            direction=direction,
-            detail={"slope": psi_end, "ceiling": opts.slope_ceiling},
-        )
-    detail = {"slope": psi_end}
-    return BreakdownCertificate(
-        kind=failure, y_event=y_end, direction=direction, detail=detail
-    )
 
 
 def integrate(
@@ -481,7 +433,8 @@ def integrate(
 ) -> Trajectory:
     """Advance one profile from ``init`` until breakdown or budget.
 
-    direction is +1 or -1; y_budget is the maximum |y - y0| travelled.
+    direction is +1 or -1; y_budget is the maximum |y - y0| travelled,
+    and also the most arc length followed past the loss of graphicality.
     With ``store=False`` only monitors and the outcome are kept, which
     is what classification sweeps need.
     """
@@ -495,197 +448,138 @@ def integrate(
     if not init.is_finite():
         raise ValueError("initial state must be finite")
 
-    f = _make_rhs(kind)
-    uses_chi = kind.name == "selfsimilar"
-    y = init.y
+    f = vector_field(kind)
+    atol, rtol, sample_h = opts.abs_tol, opts.rel_tol, opts.sample_h
+    theta_c = _critical_angle(opts.slope_ceiling)
     y_final = init.y + direction * y_budget
-    first = init.phi - y * init.psi if uses_chi else init.phi
-    s = (first, init.psi, init.k, init.w, init.S)
-    theta = math.atan(init.psi)
-    rec = _Recorder(y, s, theta, store)
-
-    sample_h = opts.sample_h
-    grid_i = 0  # index of the last emitted uniform sample
-    atol, rtol = opts.abs_tol, opts.rel_tol
-    ceiling = opts.slope_ceiling
-
-    d = f(y, *s[:4])
-    h = direction * min(opts.initial_step, opts.max_step, y_budget)
-    outcome = None
+    u = _initial_state(kind, init)
+    du = f(u)
+    s = 0.0
+    samples = [(s, *u)]
+    grid_i = 0  # index of the last uniform sample
+    theta0 = u[2]
+    max_abs_k, max_turning = abs(u[3]), 0.0
+    # the current run of constant curvature sign starts at (run_s, run_theta)
+    run_sign, run_s, run_theta = _sign(u[3]), s, theta0
+    event = u if abs(theta0) >= theta_c else None  # where graphicality was lost
+    event_s = s
     certificate = None
+    h = direction * min(opts.initial_step, opts.max_step)
+
+    def breakdown(name, detail):
+        y = u[0] if event is None else event[0]
+        return BreakdownCertificate(name, y, direction, detail)
+
+    def graphicality_loss():
+        return breakdown("graphicality_loss",
+                         {"slope": math.tan(event[2]), "ceiling": opts.slope_ceiling})
 
     while True:
-        # clamp the step to the budget and, in uniform-sampling mode, to
-        # the next output grid point so samples land exactly on the grid
-        if direction * (y + h - y_final) > 0.0:
-            h = y_final - y
-        target = None
-        if sample_h is not None:
-            y_next_grid = init.y + direction * (grid_i + 1) * sample_h
-            if direction * (y + h - y_next_grid) >= 0.0:
-                h = y_next_grid - y
-                target = grid_i + 1
-        if abs(h) < opts.min_step and target is None and abs(y - y_final) > opts.min_step:
-            outcome = "breakdown"
-            certificate = _certify(rec, y, s, direction, opts, "step_underflow")
-            break
+        try:
+            u1, ks, err = _step(f, u, du, h, atol, rtol)
+            finite = math.isfinite(err) and all(map(math.isfinite, u1))
+        except ValueError:  # cos or sin of an infinite stage angle
+            finite = False
+        if not finite or err > 1.0:
+            h *= max(0.2, 0.9 * err**-0.2) if finite else 0.5
+            if abs(h) < opts.min_step:
+                if event is not None:
+                    certificate = graphicality_loss()
+                else:
+                    failure = "step_underflow" if finite else "non_finite"
+                    certificate = breakdown(failure, {"slope": math.tan(u[2])})
+                break
+            continue
 
-        p, q, r, u, z = s
-        f1 = d
-        # stage 2
-        g = (
-            p + h * _A21 * f1[0],
-            q + h * _A21 * f1[1],
-            r + h * _A21 * f1[2],
-            u + h * _A21 * f1[3],
-            z + h * _A21 * f1[4],
-        )
-        f2 = f(y + _C2 * h, *g[:4])
-        g = (
-            p + h * (_A31 * f1[0] + _A32 * f2[0]),
-            q + h * (_A31 * f1[1] + _A32 * f2[1]),
-            r + h * (_A31 * f1[2] + _A32 * f2[2]),
-            u + h * (_A31 * f1[3] + _A32 * f2[3]),
-            z + h * (_A31 * f1[4] + _A32 * f2[4]),
-        )
-        f3 = f(y + _C3 * h, *g[:4])
-        g = (
-            p + h * (_A41 * f1[0] + _A42 * f2[0] + _A43 * f3[0]),
-            q + h * (_A41 * f1[1] + _A42 * f2[1] + _A43 * f3[1]),
-            r + h * (_A41 * f1[2] + _A42 * f2[2] + _A43 * f3[2]),
-            u + h * (_A41 * f1[3] + _A42 * f2[3] + _A43 * f3[3]),
-            z + h * (_A41 * f1[4] + _A42 * f2[4] + _A43 * f3[4]),
-        )
-        f4 = f(y + _C4 * h, *g[:4])
-        g = (
-            p + h * (_A51 * f1[0] + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
-            q + h * (_A51 * f1[1] + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
-            r + h * (_A51 * f1[2] + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2]),
-            u + h * (_A51 * f1[3] + _A52 * f2[3] + _A53 * f3[3] + _A54 * f4[3]),
-            z + h * (_A51 * f1[4] + _A52 * f2[4] + _A53 * f3[4] + _A54 * f4[4]),
-        )
-        f5 = f(y + _C5 * h, *g[:4])
-        g = (
-            p + h * (_A61 * f1[0] + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
-            q + h * (_A61 * f1[1] + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
-            r + h * (_A61 * f1[2] + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2]),
-            u + h * (_A61 * f1[3] + _A62 * f2[3] + _A63 * f3[3] + _A64 * f4[3] + _A65 * f5[3]),
-            z + h * (_A61 * f1[4] + _A62 * f2[4] + _A63 * f3[4] + _A64 * f4[4] + _A65 * f5[4]),
-        )
-        f6 = f(y + h, *g[:4])
-        s1 = (
-            p + h * (_B1 * f1[0] + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0]),
-            q + h * (_B1 * f1[1] + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1]),
-            r + h * (_B1 * f1[2] + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2]),
-            u + h * (_B1 * f1[3] + _B3 * f3[3] + _B4 * f4[3] + _B5 * f5[3] + _B6 * f6[3]),
-            z + h * (_B1 * f1[4] + _B3 * f3[4] + _B4 * f4[4] + _B5 * f5[4] + _B6 * f6[4]),
-        )
-        finite = all(map(math.isfinite, s1))
-        if finite:
-            f7 = f(y + h, *s1[:4])
-            err = 0.0
-            for i in range(5):
-                e = h * (
-                    _E1 * f1[i]
-                    + _E3 * f3[i]
-                    + _E4 * f4[i]
-                    + _E5 * f5[i]
-                    + _E6 * f6[i]
-                    + _E7 * f7[i]
+        if event is None:
+            # the graphical part ends at the first of graphicality loss and budget
+            coefs = None
+            t_end, stop = 1.0, None
+            if abs(u1[2]) >= theta_c:
+                coefs = _dense(u, u1, ks, h)
+                t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
+                              abs(u1[2]) - theta_c)
+                stop = "graphicality"
+            gap = direction * (u1[0] - y_final)
+            if gap >= 0.0:
+                coefs = coefs or _dense(u, u1, ks, h)
+                t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
+                if t <= t_end:
+                    t_end, stop = t, "budget"
+            u_end = u1 if t_end == 1.0 else _at(coefs, t_end)
+            s_end = s + t_end * h
+            if stop == "budget":
+                u_end = (y_final, *u_end[1:])
+
+            if store and sample_h is None:
+                # equal sub-steps resolving the tangent angle to theta_sample
+                n = math.ceil(abs(u_end[2] - u[2]) / opts.theta_sample)
+                for j in range(1, n):
+                    coefs = coefs or _dense(u, u1, ks, h)
+                    t = t_end * j / n
+                    samples.append((s + t * h, *_at(coefs, t)))
+                samples.append((s_end, *u_end))
+            elif store:
+                # uniform grid in y, which is monotone on the graphical part
+                while True:
+                    target = init.y + direction * (grid_i + 1) * sample_h
+                    gap = direction * (u_end[0] - target)
+                    if gap < 0.0:
+                        break
+                    coefs = coefs or _dense(u, u1, ks, h)
+                    t = _root(lambda t: direction * (_poly(coefs[0], t) - target), t_end, gap)
+                    x = u_end if t == t_end else _at(coefs, t)
+                    samples.append((s + t * h, target, *x[1:]))
+                    grid_i += 1
+
+            max_abs_k = max(max_abs_k, abs(u_end[3]))
+            max_turning = max(max_turning, abs(u_end[2] - theta0))
+            if stop == "budget":
+                break
+            if stop == "graphicality":
+                event, event_s = u_end, s_end
+
+        # accept the whole step; past the vertical the curve is followed
+        # until the turning on a run of constant curvature sign passes pi
+        s, u, du = s + h, u1, ks[6]
+        sign = _sign(u[3])
+        if sign and sign != run_sign:
+            if run_sign and event is not None:
+                certificate = graphicality_loss()
+                break
+            if run_sign:
+                run_s, run_theta = s, u[2]
+            run_sign = sign
+        if event is not None:
+            turning = abs(u[2] - run_theta)
+            if turning > math.pi:
+                certificate = breakdown(
+                    "angle_excess",
+                    {"interval": [min(run_s, s), max(run_s, s)], "value": turning},
                 )
-                scale = atol + rtol * max(abs(s[i]), abs(s1[i]))
-                e = abs(e) / scale
-                if e > err:
-                    err = e
-        if not finite or not math.isfinite(err):
-            h *= 0.5
-            if abs(h) < opts.min_step:
-                outcome = "breakdown"
-                certificate = _certify(rec, y, s, direction, opts, "non_finite")
                 break
-            continue
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
-            if abs(h) < opts.min_step:
-                outcome = "breakdown"
-                certificate = _certify(rec, y, s, direction, opts, "step_underflow")
+            if abs(s - event_s) > y_budget:
+                certificate = graphicality_loss()
                 break
-            continue
-
-        # accepted
-        y1 = y + h
-        if target is not None and abs(y1 - (init.y + direction * target * sample_h)) <= 1e-12 * max(1.0, abs(y1)):
-            y1 = init.y + direction * target * sample_h
-
-        # slope-ceiling event: bisect the Hermite interpolant in this step
-        if abs(s1[1]) >= ceiling:
-            lo, hi = 0.0, 1.0
-            while (hi - lo) * abs(h) > opts.event_tol:
-                mid = 0.5 * (lo + hi)
-                sm = _hermite(s, f1, s1, f7, h, mid)
-                if abs(sm[1]) >= ceiling:
-                    hi = mid
-                else:
-                    lo = mid
-            y_e = y + hi * h
-            s_e = _hermite(s, f1, s1, f7, h, hi)
-            theta_e = math.atan(s_e[1])
-            rec.add(y_e, s_e, theta_e)
-            outcome = "breakdown"
-            certificate = _certify(rec, y_e, s_e, direction, opts, "graphicality_loss")
-            break
-
-        theta1 = math.atan(s1[1])
-        if store and sample_h is None and abs(theta1 - theta) > opts.theta_sample:
-            # refine by bisection until consecutive samples are close in theta
-            taus = [(0.0, theta), (1.0, theta1)]
-            i = 0
-            while i < len(taus) - 1 and len(taus) < 4096:
-                (ta, tha), (tb, thb) = taus[i], taus[i + 1]
-                if abs(thb - tha) > opts.theta_sample and tb - ta > 1e-9:
-                    tm = 0.5 * (ta + tb)
-                    sm = _hermite(s, f1, s1, f7, h, tm)
-                    taus.insert(i + 1, (tm, math.atan(sm[1])))
-                else:
-                    i += 1
-            for tau, _ in taus[1:-1]:
-                sj = _hermite(s, f1, s1, f7, h, tau)
-                rec.add(y + tau * h, sj, math.atan(sj[1]))
-        if sample_h is None or target is not None:
-            rec.add(y1, s1, theta1)
-            if target is not None:
-                grid_i = target
-        else:
-            # off-grid point in uniform mode: monitors only
-            rec_store, rec.store = rec.store, False
-            rec.add(y1, s1, theta1)
-            rec.store = rec_store
-
-        y, s, d, theta = y1, s1, f7, theta1
-        if direction * (y - y_final) >= 0.0 or abs(y - y_final) < 1e-15 * max(1.0, abs(y_final)):
-            outcome = "completed"
-            break
-        h *= min(5.0, 0.9 * (err + 1e-300) ** -0.2) if err > 0 else 5.0
+        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
         if abs(h) > opts.max_step:
             h = direction * opts.max_step
 
-    ys = np.asarray(rec.ys)
-    rows = np.asarray(rec.rows)
-    phi_out = rows[:, 0] + ys * rows[:, 1] if uses_chi else rows[:, 0]
+    rows = np.asarray(samples)
     return Trajectory(
         kind=kind,
         direction=direction,
-        y=ys,
-        phi=phi_out,
-        psi=rows[:, 1],
-        k=rows[:, 2],
-        w=rows[:, 3],
-        S=rows[:, 4],
-        outcome=outcome,
+        y=rows[:, 1],
+        phi=rows[:, 2],
+        psi=np.tan(rows[:, 3]),
+        k=rows[:, 4],
+        w=rows[:, 5],
+        S=rows[:, 0],
+        outcome="completed" if certificate is None else "breakdown",
         certificate=certificate,
         options=opts,
-        max_abs_k=rec.max_abs_k,
-        max_turning=rec.max_turning,
+        max_abs_k=max_abs_k,
+        max_turning=max_turning,
     )
 
 

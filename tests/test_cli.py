@@ -98,6 +98,31 @@ def test_config_file_with_overrides(tmp_path):
     assert summary["config"]["seed"] == 11  # flag wins
 
 
+@pytest.mark.parametrize("seed_flag", [["--seed=11"], ["--se", "11"]])
+def test_config_loses_to_flag_spellings(tmp_path, seed_flag):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("count=2\nseed=9\n")
+    out = tmp_path / "r"
+    assert run(["sweep", "steady", "--config", cfg, *seed_flag, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["seed"] == 11
+
+
+def test_config_loses_to_positional_kind(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("count=2\nkind=selfsimilar\n")
+    out = tmp_path / "r"
+    assert run(["sweep", "steady", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["kind"] == "steady"
+
+
+def test_config_value_outside_choices_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scheme=bogus\n")
+    assert run(["flow-graph", "--n", 64, "--t-end", 0.01, "--config", cfg, "--out", tmp_path]) == 64
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("not_a_key=1\n")

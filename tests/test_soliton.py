@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdflow.soliton import (
     BreakdownCertificate,
@@ -25,25 +27,30 @@ SELFSIM = SolitonKind.self_similar()
 # ---------------------------------------------------------------- vector field
 
 def test_vector_field_steady_line_is_equilibrium():
-    A = 0.8
-    s = ProfileState(0.0, 0.0, A, 0.0, 0.0, 0.0)
-    assert vector_field(STEADY, s) == (A, 0.0, 0.0, 0.0, math.sqrt(1 + A * A), 1.0)
+    theta = math.atan(0.8)
+    u = (0.0, 0.0, theta, 0.0, 0.0, 0.0)
+    assert vector_field(STEADY)(u) == (math.cos(theta), math.sin(theta), 0.0, 0.0, 0.0, 0.0)
 
 
 def test_vector_field_selfsimilar_cancellation():
-    s = ProfileState(2.0, 1.0, 0.5, 0.0, 0.0, 0.0)
-    assert vector_field(SELFSIM, s)[3] == 0.0
+    # on the line phi = y/2 through the origin chi = (phi - y psi)/v vanishes,
+    # so w and chi stay exactly constant
+    u = (2.0, 1.0, math.atan(0.5), 0.0, 0.0, 0.0)
+    assert vector_field(SELFSIM)(u)[2:] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_vector_field_selfsimilar_direct():
-    s = ProfileState(1.0, 2.0, 0.0, 1.0, 0.0, 0.0)
-    assert vector_field(SELFSIM, s) == (0.0, 1.0, 0.0, -0.5, 1.0, 1.0)
+    # y = 1, phi = 2, horizontal tangent, k = 1: chi = phi - y psi = 2
+    u = (1.0, 2.0, 0.0, 1.0, 0.0, 2.0)
+    assert vector_field(SELFSIM)(u) == (1.0, 0.0, 1.0, 0.0, -0.5, -1.0)
 
 
 def test_vector_field_travelling_line():
-    kind = SolitonKind.travelling(1.0, 2.0)
-    s = ProfileState(0.0, 0.0, 2.0, 0.0, 0.0, 0.0)
-    assert vector_field(kind, s)[3] == 0.0
+    # chi = (a psi - b)/v is 0 on the line of slope b/a, so dw/ds = chi is
+    # exactly 0 even at slope 1, where sin(atan 1) - cos(atan 1) is not
+    for a, b in ((1.0, 2.0), (1.0, 1.0)):
+        u = (0.0, 0.0, math.atan(b / a), 0.0, 0.0, 0.0)
+        assert vector_field(SolitonKind.travelling(a, b))(u)[2:] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_travelling_direction_must_be_nonzero():
@@ -70,6 +77,8 @@ def test_case1_angle_excess_certificate():
     lo, hi = cert.detail["interval"]
     assert cert.detail["value"] > math.pi
     assert hi - lo <= 1.1 * (2.0 * math.pi / b)
+    # the turning is observed on the arc [S_a, S_b] of curvature b
+    assert cert.detail["value"] == pytest.approx(b * (hi - lo), rel=1e-8)
     # slope blows up where sin(theta) = b y, i.e. y = 1/b
     assert cert.y_event == pytest.approx(1.0 / b, rel=1e-3)
 
@@ -81,15 +90,55 @@ def test_case2_breakdown_with_first_integral_oracle():
     assert traj.certificate.kind in ("angle_excess", "graphicality_loss")
     res = np.max(np.abs(traj.k - 0.3 * traj.S))
     assert res <= 1e-7
+    cert = traj.certificate
+    if cert.kind == "angle_excess":
+        # theta = 0.3 S^2 / 2, so the turning observed on [S_a, S_b] is closed form
+        lo, hi = cert.detail["interval"]
+        assert cert.detail["value"] == pytest.approx(0.3 * (hi**2 - lo**2) / 2.0, rel=1e-8)
 
 
-def test_selfsimilar_unit_curvature_regression():
+def _seeded(i):
+    return sample_initial_state(np.random.default_rng([2024, i]))
+
+
+# y_event of seeded states (rng [2024, i]), as frozen by the integrator in y
+_Y_EVENT_TABLE = [
+    ("selfsimilar-k1-fwd", SELFSIM, ProfileState.initial(k=1.0), 1, 0.9953835784),
+    ("selfsimilar-k1-bwd", SELFSIM, ProfileState.initial(k=1.0), -1, -0.9953835784),
+    ("steady-0", STEADY, _seeded(0), 1, 2.5045492633),
+    ("steady-1", STEADY, _seeded(1), -1, -0.1652549275),
+    ("steady-2", STEADY, _seeded(2), 1, 1.1973057020),
+    ("steady-3", STEADY, _seeded(3), -1, -1.4522201134),
+    ("selfsimilar-0", SELFSIM, _seeded(0), 1, 2.7808583850),
+    ("selfsimilar-1", SELFSIM, _seeded(1), -1, -0.1643486037),
+    ("selfsimilar-2", SELFSIM, _seeded(2), 1, 1.2097097671),
+    ("selfsimilar-3", SELFSIM, _seeded(3), -1, -1.2723919267),
+    ("travelling_1_0-0", SolitonKind.travelling(1.0, 0.0), _seeded(0), 1, 0.8886852320),
+    ("travelling_1_0-1", SolitonKind.travelling(1.0, 0.0), _seeded(1), -1, -0.1705133412),
+    ("travelling_1_0-2", SolitonKind.travelling(1.0, 0.0), _seeded(2), 1, 1.1872424433),
+    ("travelling_1_0-3", SolitonKind.travelling(1.0, 0.0), _seeded(3), -1, -5.2687969836),
+    ("travelling_1_1-0", SolitonKind.travelling(1.0, 1.0), _seeded(0), 1, 0.6594157783),
+    ("travelling_1_1-1", SolitonKind.travelling(1.0, 1.0), _seeded(1), -1, -0.1734982190),
+    ("travelling_1_1-2", SolitonKind.travelling(1.0, 1.0), _seeded(2), 1, 1.0384087202),
+    ("travelling_1_1-3", SolitonKind.travelling(1.0, 1.0), _seeded(3), -1, -1.4216174170),
+    ("travelling_0_1-0", SolitonKind.travelling(0.0, 1.0), _seeded(0), 1, 1.2087723085),
+    ("travelling_0_1-1", SolitonKind.travelling(0.0, 1.0), _seeded(1), -1, -0.1675913526),
+    ("travelling_0_1-2", SolitonKind.travelling(0.0, 1.0), _seeded(2), 1, 1.0393891209),
+    ("travelling_0_1-3", SolitonKind.travelling(0.0, 1.0), _seeded(3), -1, -1.0643502372),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, init, direction, y_event",
+    [row[1:] for row in _Y_EVENT_TABLE],
+    ids=[row[0] for row in _Y_EVENT_TABLE],
+)
+def test_selfsimilar_unit_curvature_regression(kind, init, direction, y_event):
     # no entire nonlinear profile exists, so a certificate must appear;
     # the event location is a frozen regression value
-    for direction in (1, -1):
-        traj = integrate(SELFSIM, ProfileState.initial(k=1.0), direction, 200.0)
-        assert traj.outcome == "breakdown"
-        assert abs(traj.certificate.y_event) == pytest.approx(0.9953835784, abs=1e-6)
+    traj = integrate(kind, init, direction, 200.0)
+    assert traj.outcome == "breakdown"
+    assert traj.certificate.y_event == pytest.approx(y_event, abs=1e-6)
 
 
 def test_trajectory_theta_resolution():
@@ -143,6 +192,21 @@ def test_shoot_linear_is_trivial():
     assert report.total_turning <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    A=st.floats(-5.0, 5.0),
+    a=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+)
+def test_lines_are_exact_fixed_points(A, a):
+    # lines of every kind: through the origin for the self-similar kind,
+    # direction (a, a A) for the travelling kind
+    for kind in (STEADY, SELFSIM, SolitonKind.travelling(a, a * A)):
+        report = shoot_bidirectional(kind, ProfileState.initial(psi=A), 10.0, store=False)
+        assert report.outcome == "trivial", (kind, A)
+        assert report.max_abs_k == 0.0
+        assert report.total_turning == 0.0
+
+
 def test_linear_equilibria_all_kinds():
     for A in (-2.0, 0.0, 1.0):
         kinds = [STEADY, SELFSIM, SolitonKind.travelling(1.0, A)]
@@ -192,6 +256,19 @@ def test_sample_initial_state_respects_bounds():
 
 
 # ------------------------------------------------------- reduction consistency
+
+def test_uniform_grid_lies_on_the_circle():
+    # constant curvature b from a horizontal tangent at the origin traces the
+    # circle of radius 1/b about (0, 1/b), with S the angle swept over b; the
+    # grid points come from root-finding y on the dense output
+    b = 0.5
+    traj = integrate(STEADY, ProfileState.initial(k=b), 1, 200.0, IntegratorOptions(sample_h=1e-2))
+    assert traj.outcome == "breakdown"
+    assert traj.n == 201
+    assert np.allclose(np.diff(traj.y), 1e-2, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(np.hypot(traj.y, traj.phi - 1.0 / b) - 1.0 / b)) <= 1e-8
+    assert np.max(np.abs(np.arctan2(traj.y, 1.0 / b - traj.phi) / b - traj.S)) <= 1e-8
+
 
 def test_redundant_derivative_exact_line():
     traj = integrate(STEADY, ProfileState.initial(psi=0.5), 1, 10.0)
