@@ -19,6 +19,9 @@ never added; uniform arc-length resampling every few steps keeps the
 vertex distribution healthy.  Self-intersections are permitted and
 never repaired, so immersed curves such as the figure eight evolve
 unhindered.
+
+scipy is imported inside the functions that call it, so that importing
+sdflow for shooting or the graph flow does not load it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
-from scipy.special import fresnel
 
 __all__ = [
     "ClosedCurve",
@@ -83,9 +83,19 @@ class ClosedCurve:
         return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def diameter(self) -> float:
+        # Upper triangle only, 64 rows at a time: fl(a - b) = -fl(b - a),
+        # so this is bit-identical to the max over the full distance matrix.
         p = self.points
-        d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=2)
-        return float(math.sqrt(np.max(d2)))
+        best = 0.0
+        for i in range(0, p.shape[0], 64):
+            rows = p[i : i + 64, None, :]
+            dx = rows[:, :, 0] - p[None, i:, 0]
+            dy = rows[:, :, 1] - p[None, i:, 1]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            best = max(best, float(np.max(dx)))
+        return math.sqrt(best)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,18 @@ def _edge_arcs(points: np.ndarray):
     return chord * (1.0 + w * w / 24.0), chord, edges, dth
 
 
+def _curvature(arcs: np.ndarray, dth: np.ndarray) -> np.ndarray:
+    """Turning at each vertex over the mean arc of its two edges."""
+    return dth / (0.5 * (np.roll(arcs, 1) + arcs))
+
+
+def _normals(points: np.ndarray) -> np.ndarray:
+    """Unit leftward normals of the centred chords."""
+    tang = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
+    tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
+    return np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+
+
 def curvature_profile(c: ClosedCurve):
     """Signed per-vertex curvature and unit leftward normals.
 
@@ -160,13 +182,7 @@ def curvature_profile(c: ClosedCurve):
     arcs, chord, edges, dth = _edge_arcs(c.points)
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
-    ds = 0.5 * (np.roll(arcs, 1) + arcs)
-    kappa = dth / ds
-    tang = np.roll(c.points, -1, axis=0) - np.roll(c.points, 1, axis=0)
-    norm = np.hypot(tang[:, 0], tang[:, 1])
-    tang = tang / norm[:, None]
-    normals = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-    return kappa, normals
+    return _curvature(arcs, dth), _normals(c.points)
 
 
 def _second_arc_derivative(f: np.ndarray, arcs: np.ndarray) -> np.ndarray:
@@ -186,9 +202,7 @@ def normal_velocity(c: ClosedCurve) -> np.ndarray:
     arcs, chord, edges, dth = _edge_arcs(c.points)
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
-    ds = 0.5 * (np.roll(arcs, 1) + arcs)
-    kappa = dth / ds
-    return -_second_arc_derivative(kappa, arcs)
+    return -_second_arc_derivative(_curvature(arcs, dth), arcs)
 
 
 def open_curvature_profile(points: np.ndarray):
@@ -234,6 +248,8 @@ def resample_uniform(c: ClosedCurve, n: Optional[int] = None) -> ClosedCurve:
     Chord-parameter resampling is corrected by up to two further passes;
     residual spread is curvature-induced and shrinks with the grid.
     """
+    from scipy.interpolate import CubicSpline
+
     if n is None:
         n = c.n
     cc = c
@@ -302,6 +318,8 @@ def seed_clothoid(s_max: float, n: int) -> OpenArc:
         raise ValueError("s_max must be positive")
     if n < 16:
         raise ValueError("n must be at least 16")
+    from scipy.special import fresnel
+
     s = np.linspace(-s_max, s_max, n)
     arg = s / math.sqrt(math.pi)
     S, C = fresnel(arg)
@@ -319,6 +337,8 @@ def _solve_stabilized(kappa: np.ndarray, h: float, dt: float, rhs: np.ndarray) -
     Pentadiagonal plus periodic corners; the corners are folded in with
     a rank-4 Woodbury correction around a banded solve.
     """
+    from scipy.linalg import solve_banded
+
     n = kappa.size
     c4 = dt / h**4
     c2 = dt * kappa * kappa / (h * h)
@@ -393,18 +413,16 @@ def flow(
     frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, cur, monitors(cur))]
     frame_times = [t_end * (j + 1) / frames for j in range(frames)]
     pts = cur.points.copy()
+    edge_arcs = _edge_arcs(pts)  # of the current pts, carried over between steps
     steps = 0
     for tf in frame_times:
         while t < tf - 1e-15 * t_end:
-            arcs, chord, edges, dth = _edge_arcs(pts)
+            arcs, chord, edges, dth = edge_arcs
             if np.min(chord) < min_edge:
                 return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
-            ds = 0.5 * (np.roll(arcs, 1) + arcs)
-            kappa = dth / ds
+            kappa = _curvature(arcs, dth)
             vel = -_second_arc_derivative(kappa, arcs)
-            tang = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-            tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
-            normals = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+            normals = _normals(pts)
 
             kmax = float(np.max(np.abs(kappa)))
             dt_n = min(dt, tf - t, curvature_dt_cap / max(kmax, 1e-9) ** 4)
@@ -416,11 +434,13 @@ def flow(
             if not np.all(np.isfinite(pts)):
                 return FlowResult(frames_out, FlowOutcome("failed", reason="non-finite"))
 
-            chords = _edge_arcs(pts)[1]
+            edge_arcs = _edge_arcs(pts)
+            chords = edge_arcs[1]
             spread = (np.max(chords) - np.min(chords)) / np.mean(chords)
             if steps % resample_every == 0 or spread > 0.02:
                 cc = resample_uniform(ClosedCurve(pts, t))
                 pts = cc.points.copy()
+                edge_arcs = _edge_arcs(pts)
 
             span = np.max(pts, axis=0) - np.min(pts, axis=0)
             if math.hypot(span[0], span[1]) < 1.5 * threshold:

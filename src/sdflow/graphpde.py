@@ -11,6 +11,7 @@ available for cross-checks under the usual dx^4 step restriction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -95,17 +96,21 @@ class FrameMonitors:
         }
 
 
+@functools.lru_cache(maxsize=16)
 def _fourth_symbol(n: int, dx: float) -> np.ndarray:
     """Symbol of the linearized operator under centered differences.
 
     The factored operator linearized about w = 0 is -D1(D1(D2 w)); its
     rfft symbol is -(sin(xi)/dx)^2 (2 - 2 cos(xi))/dx^2, returned here
-    with the sign flipped (nonnegative).
+    with the sign flipped (nonnegative).  Every step of a run shares one
+    cached, read-only array per grid.
     """
     xi = 2.0 * math.pi * np.arange(n // 2 + 1) / n
     s1 = np.sin(xi) / dx
     s2 = (2.0 - 2.0 * np.cos(xi)) / (dx * dx)
-    return s1 * s1 * s2
+    m = s1 * s1 * s2
+    m.flags.writeable = False
+    return m
 
 
 def step(f: GraphField, cfg: FlowConfig) -> GraphField:

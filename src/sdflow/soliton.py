@@ -37,10 +37,12 @@ from __future__ import annotations
 import io
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; sweeps and shoots all draw from it
 
 __all__ = [
     "SolitonKind",
@@ -753,7 +755,9 @@ def run_sweep(
     ]
     if workers <= 1:
         return [_sweep_one(j) for j in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
+    # about eight chunks per worker: fewer round trips than one state per
+    # task, and finer than one block per worker, whose cost per state varies
+    # enough to leave one worker idle while the other finishes its block
+    chunk = max(1, count // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, jobs))
+        return list(pool.map(_sweep_one, jobs, chunksize=chunk))

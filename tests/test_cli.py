@@ -88,6 +88,17 @@ def test_sweep_workers_match_serial(tmp_path):
         assert (a / f"run_{i:03d}.json").read_bytes() == (b / f"run_{i:03d}.json").read_bytes()
 
 
+@pytest.mark.parametrize("count", [7, 34])
+def test_sweep_chunked_pool_matches_serial(tmp_path, count):
+    # 34 states on 2 workers go out in chunks of 2, the last one short
+    a, b = tmp_path / "serial", tmp_path / "par"
+    args = ["sweep", "steady", "--count", count, "--seed", 9]
+    assert run(args + ["--workers", 1, "--out", a]) == 0
+    assert run(args + ["--workers", 2, "--out", b]) == 0
+    for name in ["summary.json"] + [f"run_{i:03d}.json" for i in range(count)]:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("count=3\nseed=9\n")

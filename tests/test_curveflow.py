@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sdflow.curveflow import (
@@ -235,3 +237,15 @@ def test_hausdorff_distance_known_sets():
     q = np.array([[0.0, 0.5], [1.0, 0.0]])
     assert hausdorff_distance(p, q) == pytest.approx(0.5)
     assert hausdorff_distance(p, p) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(16, 700), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+@example(n=16, seed=0, scale=1.0)
+@example(n=64, seed=1, scale=1.0)
+@example(n=65, seed=2, scale=1.0)
+@example(n=700, seed=3, scale=1.0)
+def test_diameter_matches_full_distance_matrix(n, seed, scale):
+    p = np.random.default_rng(seed).normal(size=(n, 2)) * scale
+    full = math.sqrt(np.max(np.sum((p[:, None] - p[None]) ** 2, axis=2)))
+    assert ClosedCurve(p).diameter() == full

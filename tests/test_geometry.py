@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdflow.geometry import (
     GraphField,
@@ -12,6 +14,7 @@ from sdflow.geometry import (
     surface_diffusion_operator,
     turning_angle,
 )
+from sdflow.geometry import _d1, _d2
 
 
 def symbolic_operator(A, eps, L, harmonics=((1.0, 1.0),)):
@@ -158,3 +161,22 @@ def test_field_csv_roundtrip():
     assert np.array_equal(f.values, g.values)
     with pytest.raises(ValueError):
         GraphField.from_csv("a,b\n1,2\n")
+
+
+@st.composite
+def periodic_samples(draw):
+    """An even number (8 to 128) of values of either sign, |value| in [1e-8, 1e8]."""
+    n = 2 * draw(st.integers(4, 64))
+    value = st.builds(
+        lambda m, sign: sign * m, st.floats(1e-8, 1e8), st.sampled_from([-1.0, 1.0])
+    )
+    return np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=periodic_samples(), dx=st.floats(1e-4, 1e4))
+def test_stencils_match_roll_formulas_bit_for_bit(arr, dx):
+    d1 = (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * dx)
+    d2 = (np.roll(arr, -1) - 2.0 * arr + np.roll(arr, 1)) / (dx * dx)
+    assert _d1(arr, dx).tobytes() == d1.tobytes()
+    assert _d2(arr, dx).tobytes() == d2.tobytes()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdflow.geometry import GraphField
 from sdflow.graphpde import (
@@ -14,6 +16,7 @@ from sdflow.graphpde import (
     rescale,
     step,
 )
+from sdflow.graphpde import _fourth_symbol
 
 L = 2.0 * math.pi
 
@@ -150,3 +153,19 @@ def test_flow_config_validation():
         FlowConfig(dt=0.1, t_end=1.0, scheme="magic")
     with pytest.raises(ValueError):
         FlowConfig(dt=0.1, t_end=1.0, stability_safety=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(half=st.integers(4, 2048), length=st.floats(0.1, 100.0))
+def test_fourth_symbol_cache_read_only_and_fresh(half, length):
+    n = 2 * half
+    dx = length / n
+    m = _fourth_symbol(n, dx)
+    assert m.flags.writeable is False
+    with pytest.raises(ValueError):
+        m[0] = 1.0
+    assert _fourth_symbol(n, dx) is m
+    xi = 2.0 * math.pi * np.arange(n // 2 + 1) / n
+    s1 = np.sin(xi) / dx
+    fresh = s1 * s1 * ((2.0 - 2.0 * np.cos(xi)) / (dx * dx))
+    assert m.tobytes() == fresh.tobytes()
