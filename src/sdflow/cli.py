@@ -27,6 +27,7 @@ from . import __version__
 from .geometry import GraphField
 from .graphpde import FlowConfig, evolve
 from .identities import (
+    IdentityReport,
     convexity_residual_m,
     convexity_residual_q,
     q_upper_bound_residual,
@@ -46,17 +47,6 @@ from . import curveflow
 
 USAGE_ERROR = 64
 PARSE_ERROR = 65
-
-# residual thresholds used by `verify`, matching the test suite
-VERIFY_THRESHOLDS = {
-    "q_convexity": 1e-4,
-    "m_convexity": 1e-4,
-    "tangential": 1e-4,
-    "q_bound": 1e-9,
-    "steady_w": 1e-8,
-    "steady_k": 1e-7,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -189,45 +179,40 @@ def _cmd_sweep(parser, args) -> int:
     return 2 if counts["inconclusive"] else 0
 
 
+def _q_checks(traj: Trajectory) -> list:
+    convexity = convexity_residual_q(traj)
+    bound = q_upper_bound_residual(traj)
+    return [convexity, IdentityReport("q_bound", max(bound, 0.0), None, traj.n)]
+
+
+def _m_checks(traj: Trajectory) -> list:
+    return [convexity_residual_m(traj),
+            tangential_identity_residual(traj, traj.kind.a, traj.kind.b)]
+
+
+def _steady_checks(traj: Trajectory) -> list:
+    res_w, res_k = steady_first_integral_residuals(traj)
+    return [IdentityReport("steady_w", res_w, None, traj.n),
+            IdentityReport("steady_k", res_k, None, traj.n)]
+
+
+# Per trajectory kind: the checks `verify` runs, and the threshold of each
+# report they return, matching the test suite.  The check functions look the
+# identities up at call time, so tracing wrappers see every call.
+_VERIFY_CHECKS = {
+    "selfsimilar": (_q_checks, (1e-4, 1e-9)),
+    "travelling": (_m_checks, (1e-4, 1e-4)),
+    "steady": (_steady_checks, (1e-8, 1e-7)),
+}
+
+
 def _verify_one(path: Path) -> list:
     traj = Trajectory.from_csv(path.read_text())
-    reports = []
-    if traj.kind.name == "selfsimilar":
-        rep = convexity_residual_q(traj)
-        rep.threshold = VERIFY_THRESHOLDS["q_convexity"]
-        reports.append(rep.to_dict())
-        bound = q_upper_bound_residual(traj)
-        reports.append(
-            {
-                "identity": "q_bound",
-                "max_residual": max(bound, 0.0),
-                "y_at_max": None,
-                "samples": traj.n,
-                "threshold": VERIFY_THRESHOLDS["q_bound"],
-                "pass": bound <= VERIFY_THRESHOLDS["q_bound"],
-            }
-        )
-    elif traj.kind.name == "travelling":
-        rep = convexity_residual_m(traj)
-        rep.threshold = VERIFY_THRESHOLDS["m_convexity"]
-        reports.append(rep.to_dict())
-        rep = tangential_identity_residual(traj, traj.kind.a, traj.kind.b)
-        rep.threshold = VERIFY_THRESHOLDS["tangential"]
-        reports.append(rep.to_dict())
-    else:
-        res_w, res_k = steady_first_integral_residuals(traj)
-        reports.append(
-            {
-                "identity": "steady_first_integrals",
-                "max_residual": max(res_w, res_k),
-                "y_at_max": None,
-                "samples": traj.n,
-                "threshold": max(VERIFY_THRESHOLDS["steady_w"], VERIFY_THRESHOLDS["steady_k"]),
-                "pass": res_w <= VERIFY_THRESHOLDS["steady_w"]
-                and res_k <= VERIFY_THRESHOLDS["steady_k"],
-            }
-        )
-    return reports
+    checks, thresholds = _VERIFY_CHECKS[traj.kind.name]
+    reports = checks(traj)
+    for rep, threshold in zip(reports, thresholds, strict=True):
+        rep.threshold = threshold
+    return [rep.to_dict() for rep in reports]
 
 
 def _cmd_verify(parser, args) -> int:

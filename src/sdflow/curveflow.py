@@ -27,7 +27,7 @@ sdflow for shooting or the graph flow does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -88,13 +88,7 @@ class ClosedCurve:
         p = self.points
         best = 0.0
         for i in range(0, p.shape[0], 64):
-            rows = p[i : i + 64, None, :]
-            dx = rows[:, :, 0] - p[None, i:, 0]
-            dy = rows[:, :, 1] - p[None, i:, 1]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            best = max(best, float(np.max(dx)))
+            best = max(best, float(np.max(_squared_distances(p[i : i + 64], p[i:]))))
         return math.sqrt(best)
 
 
@@ -114,12 +108,7 @@ class CurveMonitors:
     diameter: float
 
     def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "signed_area": self.signed_area,
-            "max_curvature": self.max_curvature,
-            "diameter": self.diameter,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,6 +128,20 @@ class FlowResult:
 # discrete differential geometry
 # --------------------------------------------------------------------------
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances from each point of ``a`` (rows) to each of ``b``.
+
+    Rounded exactly as sum((a[:, None] - b[None]) ** 2, axis=2), without
+    its (len(a), len(b), 2) temporary.
+    """
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def _turning(e_prev: np.ndarray, e_next: np.ndarray) -> np.ndarray:
     """Signed angle from each previous edge to the next one."""
     cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
@@ -151,13 +154,13 @@ def _edge_arcs(points: np.ndarray):
 
     Chord lengths carry the circular-arc correction (1 + w^2/24) with w
     the mean turning at the edge endpoints.  Returns (arcs, chords,
-    edges, turning-at-vertex).
+    turning-at-vertex).
     """
     edges = np.roll(points, -1, axis=0) - points
     chord = np.hypot(edges[:, 0], edges[:, 1])
     dth = _turning(np.roll(edges, 1, axis=0), edges)  # turning at vertex i
     w = 0.5 * (dth + np.roll(dth, -1))  # mean turning along edge i
-    return chord * (1.0 + w * w / 24.0), chord, edges, dth
+    return chord * (1.0 + w * w / 24.0), chord, dth
 
 
 def _curvature(arcs: np.ndarray, dth: np.ndarray) -> np.ndarray:
@@ -179,27 +182,27 @@ def curvature_profile(c: ClosedCurve):
     convention follows the leftward normal of the traversal direction
     (counterclockwise circles have positive curvature).
     """
-    arcs, chord, edges, dth = _edge_arcs(c.points)
+    arcs, chord, dth = _edge_arcs(c.points)
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
     return _curvature(arcs, dth), _normals(c.points)
 
 
-def _second_arc_derivative(f: np.ndarray, arcs: np.ndarray) -> np.ndarray:
-    """Cyclic three-point second derivative on spacing ``arcs``.
+def _second_difference(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Three-point second derivative at f[1:-1]; h[i] spaces f[i] and f[i+1]."""
+    hm, hp = h[:-1], h[1:]
+    return 2.0 * (f[:-2] * hp - f[1:-1] * (hm + hp) + f[2:] * hm) / (hm * hp * (hm + hp))
 
-    arcs[i] is the arc between vertex i and i+1.
-    """
-    hm = np.roll(arcs, 1)
-    hp = arcs
-    fm = np.roll(f, 1)
-    fp = np.roll(f, -1)
-    return 2.0 * (fm * hp - f * (hm + hp) + fp * hm) / (hm * hp * (hm + hp))
+
+def _second_arc_derivative(f: np.ndarray, arcs: np.ndarray) -> np.ndarray:
+    """Cyclic second derivative; arcs[i] is the arc between vertex i and i+1."""
+    f = np.concatenate([f[-1:], f, f[:1]])
+    return _second_difference(f, np.concatenate([arcs[-1:], arcs]))
 
 
 def normal_velocity(c: ClosedCurve) -> np.ndarray:
     """Normal speed -d^2 kappa / ds^2 at every vertex."""
-    arcs, chord, edges, dth = _edge_arcs(c.points)
+    arcs, chord, dth = _edge_arcs(c.points)
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
     return -_second_arc_derivative(_curvature(arcs, dth), arcs)
@@ -216,13 +219,9 @@ def open_curvature_profile(points: np.ndarray):
     chord = np.hypot(edges[:, 0], edges[:, 1])
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
-    cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-    dot = np.sum(edges[:-1] * edges[1:], axis=1)
-    dth = np.arctan2(cross, dot)  # turning at interior vertex i+1
-    w = np.empty_like(chord)
-    w[1:-1] = 0.5 * (dth[:-1] + dth[1:])
-    w[0] = dth[0]
-    w[-1] = dth[-1]
+    dth = _turning(edges[:-1], edges[1:])  # turning at interior vertex i+1
+    ends = np.concatenate([dth[:1], dth, dth[-1:]])  # an end edge has one turning
+    w = 0.5 * (ends[:-1] + ends[1:])
     arcs = chord * (1.0 + w * w / 24.0)
     kappa = np.full(pts.shape[0], np.nan)
     kappa[1:-1] = dth / (0.5 * (arcs[:-1] + arcs[1:]))
@@ -233,12 +232,7 @@ def open_normal_velocity(points: np.ndarray) -> np.ndarray:
     """-d^2 kappa/ds^2 on an open polyline; NaN within two of each end."""
     kappa, arcs = open_curvature_profile(points)
     out = np.full(points.shape[0], np.nan)
-    hm = arcs[1:-2]
-    hp = arcs[2:-1]
-    f = kappa[2:-2]
-    fm = kappa[1:-3]
-    fp = kappa[3:-1]
-    out[2:-2] = -2.0 * (fm * hp - f * (hm + hp) + fp * hm) / (hm * hp * (hm + hp))
+    out[2:-2] = -_second_difference(kappa[1:-1], arcs[1:-1])
     return out
 
 
@@ -253,17 +247,14 @@ def resample_uniform(c: ClosedCurve, n: Optional[int] = None) -> ClosedCurve:
     if n is None:
         n = c.n
     cc = c
-    for _ in range(3):
-        pts = cc.points
-        closed = np.vstack([pts, pts[:1]])
+    for i in range(3):
+        closed = np.vstack([cc.points, cc.points[:1]])
         seg = np.hypot(*np.diff(closed, axis=0).T)
+        if i and (np.max(seg) - np.min(seg)) / np.mean(seg) <= 0.01:
+            break
         u = np.concatenate([[0.0], np.cumsum(seg)])
         spline = CubicSpline(u, closed, bc_type="periodic")
-        out = spline(np.arange(n) * u[-1] / n)
-        cc = ClosedCurve(out, c.t)
-        chords = _edge_arcs(out)[1]
-        if (np.max(chords) - np.min(chords)) / np.mean(chords) <= 0.01:
-            break
+        cc = ClosedCurve(spline(np.arange(n) * u[-1] / n), c.t)
     return cc
 
 
@@ -417,7 +408,7 @@ def flow(
     steps = 0
     for tf in frame_times:
         while t < tf - 1e-15 * t_end:
-            arcs, chord, edges, dth = edge_arcs
+            arcs, chord, dth = edge_arcs
             if np.min(chord) < min_edge:
                 return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
             kappa = _curvature(arcs, dth)
@@ -455,8 +446,15 @@ def flow(
 
 
 def hausdorff_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two planar point sets."""
-    d2 = np.sum((p[:, None, :] - q[None, :, :]) ** 2, axis=2)
-    return float(
-        math.sqrt(max(np.max(np.min(d2, axis=1)), np.max(np.min(d2, axis=0))))
-    )
+    """Symmetric Hausdorff distance between two planar point sets.
+
+    Rows of p are scanned 64 at a time; each column of q keeps its running
+    minimum, so no (len(p), len(q)) array is built.
+    """
+    row_best = 0.0
+    col_min = np.full(q.shape[0], np.inf)
+    for i in range(0, p.shape[0], 64):
+        d2 = _squared_distances(p[i : i + 64], q)
+        row_best = max(row_best, float(np.max(np.min(d2, axis=1))))
+        np.minimum(col_min, np.min(d2, axis=0), out=col_min)
+    return math.sqrt(max(row_best, float(np.max(col_min))))

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import GraphField, surface_diffusion_operator
+from .geometry import GraphField, _d1, surface_diffusion_operator
 
 __all__ = [
     "FlowConfig",
@@ -87,13 +87,7 @@ class FrameMonitors:
     l2_w: float
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "max_slope": self.max_slope,
-            "turning_variation": self.turning_variation,
-            "max_w": self.max_w,
-            "l2_w": self.l2_w,
-        }
+        return asdict(self)
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,7 +137,7 @@ def step(f: GraphField, cfg: FlowConfig) -> GraphField:
 
 
 def _monitors(f: GraphField, t: float) -> FrameMonitors:
-    ux = f.slope_offset + (np.roll(f.values, -1) - np.roll(f.values, 1)) / (2.0 * f.dx)
+    ux = f.slope_offset + _d1(f.values, f.dx)
     theta = np.arctan(ux)
     tv = float(np.sum(np.abs(np.diff(np.append(theta, theta[0])))))
     return FrameMonitors(
@@ -173,10 +167,7 @@ def evolve(
     for tf in frame_times:
         while t < tf - 1e-15 * cfg.t_end:
             dt = min(cfg.dt, tf - t)
-            sub = cfg if dt == cfg.dt else FlowConfig(
-                dt, cfg.t_end, cfg.scheme, cfg.stability_safety, cfg.slope_ceiling
-            )
-            cur = step(cur, sub)
+            cur = step(cur, cfg if dt == cfg.dt else replace(cfg, dt=dt))
             t += dt
         t = tf
         mon = _monitors(cur, t)

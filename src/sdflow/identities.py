@@ -20,13 +20,13 @@ integration route that produced the samples.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .geometry import speed
 from .soliton import ProfileState, Trajectory
 
 __all__ = [
@@ -59,7 +59,7 @@ class QParams:
 class IdentityReport:
     identity: str
     max_residual: float
-    y_at_max: float
+    y_at_max: Optional[float]
     samples_used: int
     threshold: Optional[float] = None
     extra: Optional[dict] = None
@@ -87,12 +87,12 @@ class IdentityReport:
             out.update(self.extra)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
+def q_value(s, p: QParams):
+    """Q functional at one ``ProfileState``, or along a ``Trajectory``.
 
-def q_value(s: ProfileState, p: QParams) -> float:
-    """Q functional at one state."""
+    Anything with ``y, phi, k, S`` will do; arrays give Q at every sample.
+    """
     return (
         s.k * s.k
         + p.c1
@@ -111,8 +111,8 @@ def q_paper_constants(phi0: float) -> QParams:
     return QParams(-0.25 * phi0 * phi0, -0.5 * abs(phi0))
 
 
-def m_value(s: ProfileState, a: float, b: float) -> float:
-    """M functional at one state for wave direction (a, b)."""
+def m_value(s, a: float, b: float):
+    """M functional for wave direction (a, b), at one state or along a trajectory."""
     return s.k * s.k + 2.0 * (a * s.y + b * s.phi)
 
 
@@ -125,21 +125,28 @@ def _uniform_h(y: np.ndarray) -> float:
     return float(h)
 
 
-def _weighted_second(y: np.ndarray, v: np.ndarray, F: np.ndarray):
-    """(1/v) d/dy((1/v) dF/dy) by nested centered differences.
+def _centered(F: np.ndarray, h: float) -> np.ndarray:
+    """Centered first difference at the interior samples."""
+    return (F[2:] - F[:-2]) / (2.0 * h)
 
-    Returns (lhs, sl) where sl slices the original sample indices that
-    the doubly-interior stencil reaches.
+
+def _convexity_report(identity: str, traj: Trajectory, F: np.ndarray) -> IdentityReport:
+    """Worst |(1/v)((1/v)F')' - 2 w^2| by nested centered differences.
+
+    The doubly-interior stencil reaches samples 2 .. n-3.
     """
-    h = _uniform_h(y)
-    g = (F[2:] - F[:-2]) / (2.0 * h) / v[1:-1]
-    lhs = (g[2:] - g[:-2]) / (2.0 * h) / v[2:-2]
-    return lhs, slice(2, -2)
-
-
-def _series(traj: Trajectory):
-    v = np.sqrt(1.0 + traj.psi**2)
-    return traj.y, traj.phi, traj.k, traj.w, traj.S, v
+    h = _uniform_h(traj.y)
+    v = speed(traj.psi)
+    lhs = _centered(_centered(F, h) / v[1:-1], h) / v[2:-2]
+    res = np.abs(lhs - 2.0 * traj.w[2:-2] ** 2)
+    i = int(np.argmax(res))
+    return IdentityReport(
+        identity=identity,
+        max_residual=float(res[i]),
+        y_at_max=float(traj.y[2:-2][i]),
+        samples_used=traj.n,
+        extra={"min_weighted_second": float(np.min(lhs))},
+    )
 
 
 def convexity_residual_q(traj: Trajectory, params: Optional[QParams] = None) -> IdentityReport:
@@ -154,28 +161,13 @@ def convexity_residual_q(traj: Trajectory, params: Optional[QParams] = None) -> 
         raise ValueError("Q convexity applies to self-similar trajectories")
     if traj.n < 7:
         raise ValueError("need at least 7 samples")
-    y, phi, k, w, S, v = _series(traj)
     param_sets = (
         [params]
         if params is not None
-        else [QParams(0.0, 0.0), q_paper_constants(float(phi[np.argmin(np.abs(y))]))]
+        else [QParams(0.0, 0.0), q_paper_constants(float(traj.phi[np.argmin(np.abs(traj.y))]))]
     )
-    worst = None
-    for p in param_sets:
-        Q = k * k + p.c1 + p.c2 * S + 0.25 * (y * y + phi * phi) - 0.25 * S * S
-        lhs, sl = _weighted_second(y, v, Q)
-        res = np.abs(lhs - 2.0 * w[sl] ** 2)
-        i = int(np.argmax(res))
-        if worst is None or res[i] > worst[0]:
-            worst = (float(res[i]), float(y[sl][i]), lhs)
-    lhs = worst[2]
-    return IdentityReport(
-        identity="q_convexity",
-        max_residual=worst[0],
-        y_at_max=worst[1],
-        samples_used=traj.n,
-        extra={"min_weighted_second": float(np.min(lhs))},
-    )
+    reports = (_convexity_report("q_convexity", traj, q_value(traj, p)) for p in param_sets)
+    return max(reports, key=lambda rep: rep.max_residual)
 
 
 def convexity_residual_m(
@@ -190,51 +182,36 @@ def convexity_residual_m(
         a = traj.kind.a
     if b is None:
         b = traj.kind.b
-    y, phi, k, w, S, v = _series(traj)
-    M = k * k + 2.0 * (a * y + b * phi)
-    lhs, sl = _weighted_second(y, v, M)
-    res = np.abs(lhs - 2.0 * w[sl] ** 2)
-    i = int(np.argmax(res))
-    return IdentityReport(
-        identity="m_convexity",
-        max_residual=float(res[i]),
-        y_at_max=float(y[sl][i]),
-        samples_used=traj.n,
-        extra={"min_weighted_second": float(np.min(lhs))},
-    )
+    return _convexity_report("m_convexity", traj, m_value(traj, a, b))
 
 
 def tangential_identity_residual(traj: Trajectory, a: float, b: float) -> IdentityReport:
     """Check d/dy((a + b psi)/v) = k (b - a psi) along any trajectory."""
     if traj.n < 3:
         raise ValueError("need at least 3 samples")
-    y, phi, k, w, S, v = _series(traj)
-    h = _uniform_h(y)
-    F = (a + b * traj.psi) / v
-    lhs = (F[2:] - F[:-2]) / (2.0 * h)
-    rhs = k[1:-1] * (b - a * traj.psi[1:-1])
+    psi = traj.psi
+    lhs = _centered((a + b * psi) / speed(psi), _uniform_h(traj.y))
+    rhs = traj.k[1:-1] * (b - a * psi[1:-1])
     res = np.abs(lhs - rhs)
     i = int(np.argmax(res))
     return IdentityReport(
         identity="tangential",
         max_residual=float(res[i]),
-        y_at_max=float(y[1:-1][i]),
+        y_at_max=float(traj.y[1:-1][i]),
         samples_used=traj.n,
     )
 
 
+def cauchy_schwarz_holds(phi, psi, y):
+    """|phi psi + y| <= v sqrt(phi^2 + y^2), with a 1e-12 slack; elementwise."""
+    return np.abs(phi * psi + y) <= speed(psi) * np.sqrt(phi * phi + y * y) + 1e-12
+
+
 def cauchy_schwarz_check(s: ProfileState) -> bool:
-    """|phi psi + y| <= v sqrt(phi^2 + y^2), with a 1e-12 slack."""
-    r2 = s.phi * s.phi + s.y * s.y
-    if r2 <= 0.0:
+    """``cauchy_schwarz_holds`` at one state; undefined at phi = y = 0."""
+    if s.phi * s.phi + s.y * s.y <= 0.0:
         raise ValueError("undefined at phi = y = 0")
-    return abs(s.phi * s.psi + s.y) <= s.v * math.sqrt(r2) + 1e-12
-
-
-def cauchy_schwarz_holds(phi: np.ndarray, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized form of ``cauchy_schwarz_check``."""
-    v = np.sqrt(1.0 + psi * psi)
-    return np.abs(phi * psi + y) <= v * np.sqrt(phi * phi + y * y) + 1e-12
+    return bool(cauchy_schwarz_holds(s.phi, s.psi, s.y))
 
 
 def q_upper_bound_residual(traj: Trajectory) -> float:
@@ -243,19 +220,13 @@ def q_upper_bound_residual(traj: Trajectory) -> float:
     The bound Q <= k^2 is proved for increasing arc length from y = 0;
     a backward trajectory maps onto a forward one of the reflected
     profile (also self-similar) with S replaced by |S|, so the check
-    applies the c2 term to |S|.  Nonpositive output certifies the bound.
+    evaluates Q at k = 0 and |S|.  Nonpositive output certifies the bound.
     """
     if traj.kind.name != "selfsimilar":
         raise ValueError("the Q bound applies to self-similar trajectories")
-    y, phi, k, w, S, v = _series(traj)
-    phi0 = float(phi[np.argmin(np.abs(y))])
-    qmk = (
-        -0.25 * phi0 * phi0
-        - 0.5 * abs(phi0) * np.abs(S)
-        + 0.25 * (y * y + phi * phi)
-        - 0.25 * S * S
-    )
-    return float(np.max(qmk))
+    phi0 = float(traj.phi[np.argmin(np.abs(traj.y))])
+    reflected = replace(traj, k=np.zeros_like(traj.k), S=np.abs(traj.S))
+    return float(np.max(q_value(reflected, q_paper_constants(phi0))))
 
 
 def steady_first_integral_residuals(traj: Trajectory):

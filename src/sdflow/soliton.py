@@ -37,7 +37,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -210,11 +209,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.y.size
-
-    def state(self, i: int) -> ProfileState:
-        return ProfileState(
-            self.y[i], self.phi[i], self.psi[i], self.k[i], self.w[i], self.S[i]
-        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -759,5 +753,8 @@ def run_sweep(
     # task, and finer than one block per worker, whose cost per state varies
     # enough to leave one worker idle while the other finishes its block
     chunk = max(1, count // (8 * workers))
+    # imported here, so that commands without a pool never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_one, jobs, chunksize=chunk))

@@ -62,6 +62,26 @@ def test_verify_selfsimilar_and_steady(tmp_path):
     assert run(["verify", tmp_path / "sd" / "trajectory_fwd.csv", "--out", tmp_path / "v2"]) == 0
 
 
+def test_verify_records_pass_by_their_own_threshold(tmp_path):
+    assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
+                "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
+    # w off its first integral by 5e-8: above the w threshold, below the k one
+    lines = (tmp_path / "sd" / "trajectory_fwd.csv").read_text().splitlines()
+    first = lines.index("y,phi,psi,theta,k,w,S") + 2
+    for i in range(first, len(lines)):
+        cols = lines[i].split(",")
+        cols[5] = repr(float(cols[5]) + 5e-8)
+        lines[i] = ",".join(cols)
+    bad = tmp_path / "perturbed.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 1
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"][0]["checks"]
+    for c in checks:
+        assert c["pass"] == (c["max_residual"] <= c["threshold"]), c
+    verdicts = [(c["identity"], c["pass"]) for c in checks]
+    assert verdicts == [("steady_w", False), ("steady_k", True)]
+
+
 def test_verify_truncated_file_parse_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("this is not a trajectory\n")

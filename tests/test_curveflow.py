@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -92,6 +92,48 @@ def test_cosine_curvature_velocity_oracle():
     assert np.max(np.abs(v[inner] - expected[inner])) <= 5e-3 * q * q
 
 
+def reference_open_curvature(pts):
+    """open_curvature_profile as first written, with its own arctan2 turning."""
+    edges = pts[1:] - pts[:-1]
+    chord = np.hypot(edges[:, 0], edges[:, 1])
+    cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
+    dot = np.sum(edges[:-1] * edges[1:], axis=1)
+    dth = np.arctan2(cross, dot)
+    w = np.empty_like(chord)
+    w[1:-1] = 0.5 * (dth[:-1] + dth[1:])
+    w[0] = dth[0]
+    w[-1] = dth[-1]
+    arcs = chord * (1.0 + w * w / 24.0)
+    kappa = np.full(pts.shape[0], np.nan)
+    kappa[1:-1] = dth / (0.5 * (arcs[:-1] + arcs[1:]))
+    return kappa, arcs
+
+
+def reference_open_velocity(pts):
+    kappa, arcs = reference_open_curvature(pts)
+    out = np.full(pts.shape[0], np.nan)
+    hm, hp = arcs[1:-2], arcs[2:-1]
+    f, fm, fp = kappa[2:-2], kappa[1:-3], kappa[3:-1]
+    out[2:-2] = -2.0 * (fm * hp - f * (hm + hp) + fp * hm) / (hm * hp * (hm + hp))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(5, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       bend=st.floats(0.0, 3.0))
+def test_open_stencils_match_reference_bit_for_bit(n, seed, scale, bend):
+    # a random walk whose heading turns by up to `bend` per step
+    rng = np.random.default_rng(seed)
+    heading = np.cumsum(rng.uniform(-bend, bend, n - 1))
+    steps = rng.uniform(0.1, 1.0, n - 1)[:, None] * np.stack([np.cos(heading), np.sin(heading)], 1)
+    pts = scale * np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+    kappa, arcs = open_curvature_profile(pts)
+    ref_kappa, ref_arcs = reference_open_curvature(pts)
+    assert kappa.tobytes() == ref_kappa.tobytes()
+    assert arcs.tobytes() == ref_arcs.tobytes()
+    assert open_normal_velocity(pts).tobytes() == reference_open_velocity(pts).tobytes()
+
+
 # ----------------------------------------------------------------------- seeds
 
 def test_seed_circle_points_on_circle():
@@ -143,6 +185,43 @@ def test_resample_uniform_spread():
     edges = np.roll(lem.points, -1, axis=0) - lem.points
     chords = np.hypot(edges[:, 0], edges[:, 1])
     assert (chords.max() - chords.min()) / chords.mean() <= 0.01
+
+
+def reference_resample(c, n):
+    """resample_uniform as first written: every pass measures its chords afresh."""
+    from scipy.interpolate import CubicSpline
+
+    cc = c
+    for _ in range(3):
+        pts = cc.points
+        closed = np.vstack([pts, pts[:1]])
+        seg = np.hypot(*np.diff(closed, axis=0).T)
+        u = np.concatenate([[0.0], np.cumsum(seg)])
+        out = CubicSpline(u, closed, bc_type="periodic")(np.arange(n) * u[-1] / n)
+        cc = ClosedCurve(out, c.t)
+        edges = np.roll(out, -1, axis=0) - out
+        chords = np.hypot(edges[:, 0], edges[:, 1])
+        if (np.max(chords) - np.min(chords)) / np.mean(chords) <= 0.01:
+            break
+    return cc
+
+
+@pytest.mark.parametrize("n", [None, 96, 700])
+def test_resample_uniform_matches_reference_bit_for_bit(n):
+    ang = 2.0 * math.pi * np.arange(200) / 200
+    raw = [
+        # the thin ellipse takes two or three passes, the other shapes one
+        np.stack([3.0 * np.cos(ang), 0.2 * np.sin(ang)], axis=1),
+        np.stack([np.cos(ang) / (1 + np.sin(ang) ** 2), np.sin(2 * ang) / 2], axis=1),
+        seed_circle(1.0, 200).points * (1.0 + 0.1 * np.cos(5 * ang))[:, None],
+        seed_circle(1.0, 200).points,  # uniform already, yet resampled once
+    ]
+    for pts in raw:
+        c = ClosedCurve(pts, 0.25)
+        got = resample_uniform(c, n)
+        want = reference_resample(c, n or c.n)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.t == 0.25
 
 
 # ------------------------------------------------------------------------ flow
@@ -249,3 +328,20 @@ def test_diameter_matches_full_distance_matrix(n, seed, scale):
     p = np.random.default_rng(seed).normal(size=(n, 2)) * scale
     full = math.sqrt(np.max(np.sum((p[:, None] - p[None]) ** 2, axis=2)))
     assert ClosedCurve(p).diameter() == full
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 700), m=st.integers(1, 700), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+@example(n=16, m=700, seed=0, scale=1.0)
+@example(n=64, m=65, seed=1, scale=1.0)
+@example(n=65, m=16, seed=2, scale=1.0)
+@example(n=700, m=64, seed=3, scale=1.0)
+def test_hausdorff_matches_full_distance_matrix(n, m, seed, scale):
+    assume(n != m)
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(n, 2)) * scale
+    q = (rng.normal(size=(m, 2)) + 0.5) * scale
+    d2 = np.sum((p[:, None, :] - q[None, :, :]) ** 2, axis=2)
+    full = math.sqrt(max(np.max(np.min(d2, axis=1)), np.max(np.min(d2, axis=0))))
+    assert hausdorff_distance(p, q) == full

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdflow.identities import (
     IdentityReport,
@@ -17,7 +19,7 @@ from sdflow.identities import (
     steady_first_integral_residuals,
     tangential_identity_residual,
 )
-from sdflow.soliton import IntegratorOptions, ProfileState, SolitonKind, integrate
+from sdflow.soliton import IntegratorOptions, ProfileState, SolitonKind, Trajectory, integrate
 
 SELFSIM = SolitonKind.self_similar()
 DENSE = IntegratorOptions(sample_h=1e-3)
@@ -202,3 +204,92 @@ def test_identity_report_serialization(ss_traj):
     assert set(payload) >= {"identity", "max_residual", "y_at_max", "samples", "threshold", "pass"}
     with pytest.raises(ValueError):
         IdentityReport("x", -1.0, 0.0, 5)
+
+
+# ---------------------------------------------- reference formulas, bit for bit
+
+def reference_weighted_second(y, v, F):
+    h = float(np.diff(y)[0])
+    g = (F[2:] - F[:-2]) / (2.0 * h) / v[1:-1]
+    return (g[2:] - g[:-2]) / (2.0 * h) / v[2:-2]
+
+
+def reference_q(traj):
+    """(max residual, y at max, min lhs) with Q written out, worse of two constant sets."""
+    y, phi, k, w, S = traj.y, traj.phi, traj.k, traj.w, traj.S
+    v = np.sqrt(1.0 + traj.psi**2)
+    phi0 = float(phi[np.argmin(np.abs(y))])
+    worst = None
+    for c1, c2 in ((0.0, 0.0), (-0.25 * phi0 * phi0, -0.5 * abs(phi0))):
+        Q = k * k + c1 + c2 * S + 0.25 * (y * y + phi * phi) - 0.25 * S * S
+        lhs = reference_weighted_second(y, v, Q)
+        res = np.abs(lhs - 2.0 * w[2:-2] ** 2)
+        i = int(np.argmax(res))
+        if worst is None or res[i] > worst[0]:
+            worst = (float(res[i]), float(y[2:-2][i]), float(np.min(lhs)))
+    return worst
+
+
+def reference_m(traj, a, b):
+    y, w = traj.y, traj.w
+    v = np.sqrt(1.0 + traj.psi**2)
+    lhs = reference_weighted_second(y, v, traj.k * traj.k + 2.0 * (a * y + b * traj.phi))
+    res = np.abs(lhs - 2.0 * w[2:-2] ** 2)
+    i = int(np.argmax(res))
+    return float(res[i]), float(y[2:-2][i]), float(np.min(lhs))
+
+
+def reference_tangential(traj, a, b):
+    y, psi = traj.y, traj.psi
+    v = np.sqrt(1.0 + psi**2)
+    F = (a + b * psi) / v
+    lhs = (F[2:] - F[:-2]) / (2.0 * float(np.diff(y)[0]))
+    res = np.abs(lhs - traj.k[1:-1] * (b - a * psi[1:-1]))
+    i = int(np.argmax(res))
+    return float(res[i]), float(y[1:-1][i])
+
+
+def reference_q_bound(traj):
+    y, phi, S = traj.y, traj.phi, traj.S
+    phi0 = float(phi[np.argmin(np.abs(y))])
+    qmk = (-0.25 * phi0 * phi0 - 0.5 * abs(phi0) * np.abs(S)
+           + 0.25 * (y * y + phi * phi) - 0.25 * S * S)
+    return float(np.max(qmk))
+
+
+def noisy_trajectory(kind, n, seed, direction, h):
+    """Uniform y grid with random columns; the identities need not hold."""
+    rng = np.random.default_rng(seed)
+    phi, psi, k, w = rng.normal(size=(4, n)) * rng.uniform(0.1, 10.0, size=(4, 1))
+    S = np.cumsum(np.abs(rng.normal(size=n))) * direction * h
+    return Trajectory(kind, direction, rng.uniform(-1, 1) + direction * h * np.arange(n),
+                      phi, psi, k, w, S, "completed", None, DENSE, 0.0, 0.0)
+
+
+trajectory_args = dict(
+    n=st.integers(7, 200),
+    seed=st.integers(0, 2**32 - 1),
+    direction=st.sampled_from([1, -1]),
+    h=st.floats(1e-4, 1e-1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**trajectory_args)
+def test_q_checks_match_reference_bit_for_bit(n, seed, direction, h):
+    traj = noisy_trajectory(SELFSIM, n, seed, direction, h)
+    rep = convexity_residual_q(traj)
+    assert (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"]) == reference_q(traj)
+    assert q_upper_bound_residual(traj) == reference_q_bound(traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**trajectory_args, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_m_and_tangential_match_reference_bit_for_bit(n, seed, direction, h, a, b):
+    kind = SolitonKind.travelling(1.0, 1.0)
+    traj = noisy_trajectory(kind, n, seed, direction, h)
+    rep = convexity_residual_m(traj, a, b)
+    got = (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"])
+    assert got == reference_m(traj, a, b)
+    rep = tangential_identity_residual(traj, a, b)
+    assert (rep.max_residual, rep.y_at_max) == reference_tangential(traj, a, b)

@@ -1,7 +1,8 @@
 """Which modules a fresh interpreter loads for each kind of sdflow run.
 
 Shooting, sweeps, verification and the graph flow need only numpy;
-scipy is imported where the curve flow first solves or resamples.
+scipy is imported where the curve flow first solves or resamples, and
+the process pool's modules where a sweep starts its workers.
 """
 
 import json
@@ -18,13 +19,9 @@ from sdflow.cli import main
 SRC = str(Path(sdflow.__file__).resolve().parents[1])
 
 
-def scipy_modules_after(code):
-    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
-    script = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))))\n"
-    )
+def modules_after(code):
+    """Run ``code`` in a fresh interpreter; return the modules it loaded."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -32,6 +29,10 @@ def scipy_modules_after(code):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def scipy_modules_after(code):
+    return [m for m in modules_after(code) if m == "scipy" or m.startswith("scipy.")]
 
 
 def main_call(args):
@@ -54,6 +55,18 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     ]
     for args in commands:
         assert scipy_modules_after(main_call(args)) == [], args[0]
+
+
+def test_only_sweeps_load_the_process_pool(tmp_path):
+    pool = "concurrent.futures.process"
+    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--out", tmp_path / "s"]
+    assert main([str(a) for a in shoot]) == 0
+    verify = ["verify", tmp_path / "s" / "trajectory_fwd.csv", "--out", tmp_path / "v"]
+    graph = ["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 2, "--out", tmp_path / "g"]
+    for code in ["import sdflow.cli", main_call(verify), main_call(graph)]:
+        assert pool not in modules_after(code), code
+    sweep = ["sweep", "selfsimilar", "--count", 4, "--workers", 2, "--out", tmp_path / "w"]
+    assert pool in modules_after(main_call(sweep))
 
 
 def test_curve_flow_loads_scipy(tmp_path):
