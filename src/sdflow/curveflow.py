@@ -149,23 +149,27 @@ def _turning(e_prev: np.ndarray, e_next: np.ndarray) -> np.ndarray:
     return np.arctan2(cross, dot)
 
 
-def _edge_arcs(points: np.ndarray):
-    """Per-edge arc estimate for a closed polyline.
+def _arcs_and_curvature(chord: np.ndarray, turning: np.ndarray):
+    """Arc-corrected edge lengths, and the curvature where two edges meet.
 
-    Chord lengths carry the circular-arc correction (1 + w^2/24) with w
-    the mean turning at the edge endpoints.  Returns (arcs, chords,
-    turning-at-vertex).
+    turning[i], turning[i+1] are the turnings at the ends of edge i; the
+    chord gets the circular-arc correction (1 + w^2/24) with w their mean,
+    and each inner turning is divided by the mean arc of its two edges.
     """
+    w = 0.5 * (turning[:-1] + turning[1:])
+    arcs = chord * (1.0 + w * w / 24.0)
+    return arcs, turning[1:-1] / (0.5 * (arcs[:-1] + arcs[1:]))
+
+
+def _edge_arcs(points: np.ndarray):
+    """(arcs, chords, curvature) of a closed polyline; arcs[i] joins vertex i and i+1."""
     edges = np.roll(points, -1, axis=0) - points
     chord = np.hypot(edges[:, 0], edges[:, 1])
     dth = _turning(np.roll(edges, 1, axis=0), edges)  # turning at vertex i
-    w = 0.5 * (dth + np.roll(dth, -1))  # mean turning along edge i
-    return chord * (1.0 + w * w / 24.0), chord, dth
-
-
-def _curvature(arcs: np.ndarray, dth: np.ndarray) -> np.ndarray:
-    """Turning at each vertex over the mean arc of its two edges."""
-    return dth / (0.5 * (np.roll(arcs, 1) + arcs))
+    # read as an open polyline that starts with edge n-1, so vertex 0 has two edges
+    arcs, kappa = _arcs_and_curvature(np.append(chord[-1], chord),
+                                      np.concatenate([dth[-1:], dth, dth[:1]]))
+    return arcs[1:], chord, kappa
 
 
 def _normals(points: np.ndarray) -> np.ndarray:
@@ -182,10 +186,10 @@ def curvature_profile(c: ClosedCurve):
     convention follows the leftward normal of the traversal direction
     (counterclockwise circles have positive curvature).
     """
-    arcs, chord, dth = _edge_arcs(c.points)
+    arcs, chord, kappa = _edge_arcs(c.points)
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
-    return _curvature(arcs, dth), _normals(c.points)
+    return kappa, _normals(c.points)
 
 
 def _second_difference(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -202,10 +206,10 @@ def _second_arc_derivative(f: np.ndarray, arcs: np.ndarray) -> np.ndarray:
 
 def normal_velocity(c: ClosedCurve) -> np.ndarray:
     """Normal speed -d^2 kappa / ds^2 at every vertex."""
-    arcs, chord, dth = _edge_arcs(c.points)
+    arcs, chord, kappa = _edge_arcs(c.points)
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
-    return -_second_arc_derivative(_curvature(arcs, dth), arcs)
+    return -_second_arc_derivative(kappa, arcs)
 
 
 def open_curvature_profile(points: np.ndarray):
@@ -220,11 +224,10 @@ def open_curvature_profile(points: np.ndarray):
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
     dth = _turning(edges[:-1], edges[1:])  # turning at interior vertex i+1
-    ends = np.concatenate([dth[:1], dth, dth[-1:]])  # an end edge has one turning
-    w = 0.5 * (ends[:-1] + ends[1:])
-    arcs = chord * (1.0 + w * w / 24.0)
+    # an end edge takes the turning at its one interior vertex at both ends
+    arcs, inner = _arcs_and_curvature(chord, np.concatenate([dth[:1], dth, dth[-1:]]))
     kappa = np.full(pts.shape[0], np.nan)
-    kappa[1:-1] = dth / (0.5 * (arcs[:-1] + arcs[1:]))
+    kappa[1:-1] = inner
     return kappa, arcs
 
 
@@ -408,10 +411,9 @@ def flow(
     steps = 0
     for tf in frame_times:
         while t < tf - 1e-15 * t_end:
-            arcs, chord, dth = edge_arcs
+            arcs, chord, kappa = edge_arcs
             if np.min(chord) < min_edge:
                 return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
-            kappa = _curvature(arcs, dth)
             vel = -_second_arc_derivative(kappa, arcs)
             normals = _normals(pts)
 

@@ -134,6 +134,42 @@ def test_open_stencils_match_reference_bit_for_bit(n, seed, scale, bend):
     assert open_normal_velocity(pts).tobytes() == reference_open_velocity(pts).tobytes()
 
 
+def reference_closed_curvature(pts):
+    """Closed-polyline curvature and arcs as first written, with np.roll."""
+    edges = np.roll(pts, -1, axis=0) - pts
+    chord = np.hypot(edges[:, 0], edges[:, 1])
+    prev = np.roll(edges, 1, axis=0)
+    cross = prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0]
+    dth = np.arctan2(cross, prev[:, 0] * edges[:, 0] + prev[:, 1] * edges[:, 1])
+    w = 0.5 * (dth + np.roll(dth, -1))
+    arcs = chord * (1.0 + w * w / 24.0)
+    return dth / (0.5 * (np.roll(arcs, 1) + arcs)), arcs
+
+
+def reference_closed_velocity(pts):
+    kappa, arcs = reference_closed_curvature(pts)
+    hm, hp = np.roll(arcs, 1), arcs
+    fm, fp = np.roll(kappa, 1), np.roll(kappa, -1)
+    return -(2.0 * (fm * hp - kappa * (hm + hp) + fp * hm) / (hm * hp * (hm + hp)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       wobble=st.floats(0.0, 0.9))
+def test_closed_stencils_match_reference_bit_for_bit(n, seed, scale, wobble):
+    # a star-shaped loop with random radii and unequal angular steps
+    rng = np.random.default_rng(seed)
+    ang = np.cumsum(rng.uniform(0.2, 1.0, n))
+    ang *= 2.0 * math.pi / (ang[-1] + rng.uniform(0.2, 1.0))
+    r = scale * (1.0 + wobble * rng.uniform(-1.0, 1.0, n))
+    c = ClosedCurve(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
+    kappa, _ = curvature_profile(c)
+    ref_kappa, ref_arcs = reference_closed_curvature(c.points)
+    assert kappa.tobytes() == ref_kappa.tobytes()
+    assert c.length() == float(np.sum(ref_arcs))
+    assert normal_velocity(c).tobytes() == reference_closed_velocity(c.points).tobytes()
+
+
 # ----------------------------------------------------------------------- seeds
 
 def test_seed_circle_points_on_circle():
