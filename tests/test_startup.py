@@ -63,7 +63,7 @@ def test_only_sweeps_load_the_process_pool(tmp_path):
     assert main([str(a) for a in shoot]) == 0
     verify = ["verify", tmp_path / "s" / "trajectory_fwd.csv", "--out", tmp_path / "v"]
     graph = ["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 2, "--out", tmp_path / "g"]
-    for code in ["import sdflow.cli", main_call(verify), main_call(graph)]:
+    for code in ["import sdflow.cli", main_call(shoot), main_call(verify), main_call(graph)]:
         assert pool not in modules_after(code), code
     sweep = ["sweep", "selfsimilar", "--count", 4, "--workers", 2, "--out", tmp_path / "w"]
     assert pool in modules_after(main_call(sweep))
