@@ -41,6 +41,7 @@ from .soliton import (
     Trajectory,
     run_sweep,
     sample_initial_state,
+    shoot_batch,
     shoot_bidirectional,
 )
 from . import curveflow
@@ -53,6 +54,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of step sizes, tolerances and budgets: finite and > 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
 
 
 def _load_config(path: str, allowed: set) -> dict:
@@ -109,36 +129,34 @@ def _parse_init(parser, text: str) -> ProfileState:
     if len(parts) != 4:
         parser.error("--init expects four values: phi,psi,k,w")
     try:
-        phi, psi, k, w = (float(p) for p in parts)
-    except ValueError:
-        parser.error("--init values must be numbers")
+        phi, psi, k, w = (_finite(p) for p in parts)
+    except argparse.ArgumentTypeError:
+        parser.error("--init values must be finite numbers")
     return ProfileState.initial(phi, psi, k, w)
 
 
 def _cmd_shoot(parser, args) -> int:
     kind = _kind_from_args(parser, args)
     opts = _integrator_options(args)
-    out = _out_dir(args)
     config_keys = ["kind", "a", "b", "init", "random", "seed", "count",
                    "budget", "abs_tol", "rel_tol", "sample_h"]
     config = _effective_config(args, config_keys)
 
     if args.random:
-        inits = []
-        for i in range(args.count):
-            rng = np.random.default_rng([args.seed, i])
-            inits.append((sample_initial_state(rng), args.seed))
+        inits = [sample_initial_state(np.random.default_rng([args.seed, i]))
+                 for i in range(args.count)]
+        reports = shoot_batch(kind, inits, args.budget, opts, seed=args.seed)
     else:
         if args.init is None:
             parser.error("either --init or --random is required")
-        inits = [(_parse_init(parser, args.init), None)]
+        reports = [shoot_bidirectional(kind, _parse_init(parser, args.init), args.budget, opts)]
 
+    out = _out_dir(args)
     worst = 0
     counts = {"trivial": 0, "breakdown": 0, "inconclusive": 0}
-    for i, (init, seed) in enumerate(inits):
-        report = shoot_bidirectional(kind, init, args.budget, opts, seed=seed)
+    for i, report in enumerate(reports):
         counts[report.outcome] += 1
-        tag = f"_{i:03d}" if len(inits) > 1 else ""
+        tag = f"_{i:03d}" if len(reports) > 1 else ""
         payload = report.to_dict()
         payload["config"] = config
         payload["version"] = __version__
@@ -340,15 +358,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_shoot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["steady", "selfsimilar", "travelling"])
     p.add_argument("--init", default=None, help="phi,psi,k,w at y=0")
-    p.add_argument("--a", type=float, default=0.0, help="travelling wave speed a")
-    p.add_argument("--b", type=float, default=0.0, help="travelling wave speed b")
+    p.add_argument("--a", type=_finite, default=0.0, help="travelling wave speed a")
+    p.add_argument("--b", type=_finite, default=0.0, help="travelling wave speed b")
     p.add_argument("--random", action="store_true", help="sample seeded random initial states")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--budget", type=float, default=200.0)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--sample-h", type=float, default=None)
+    p.add_argument("--budget", type=_positive, default=200.0)
+    p.add_argument("--abs-tol", type=_positive, default=1e-10)
+    p.add_argument("--rel-tol", type=_positive, default=1e-10)
+    p.add_argument("--sample-h", type=_positive, default=None)
 
 
 def build_parser():
@@ -372,11 +390,11 @@ def build_parser():
 
     p = commands["flow-graph"] = sub.add_parser("flow-graph", help="evolve a periodic graph perturbation")
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--L", type=float, default=2.0 * math.pi)
-    p.add_argument("--A", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--dt", type=float, default=1e-2)
-    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--L", type=_finite, default=2.0 * math.pi)
+    p.add_argument("--A", type=_finite, default=0.0)
+    p.add_argument("--eps", type=_finite, default=1e-3)
+    p.add_argument("--dt", type=_positive, default=1e-2)
+    p.add_argument("--t-end", type=_finite, default=1.0)
     p.add_argument("--scheme", choices=["semi_implicit", "explicit_rk"], default="semi_implicit")
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
@@ -387,11 +405,11 @@ def build_parser():
                    default=None)
     p.add_argument("--input", default=None, help="CSV of x,y rows (closed implied)")
     p.add_argument("--n", type=int, default=512)
-    p.add_argument("--kappa", type=float, default=2.0)
-    p.add_argument("--major", type=float, default=1.0)
-    p.add_argument("--minor", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--t-end", type=float, default=8.0)
+    p.add_argument("--kappa", type=_finite, default=2.0)
+    p.add_argument("--major", type=_finite, default=1.0)
+    p.add_argument("--minor", type=_finite, default=0.5)
+    p.add_argument("--dt", type=_positive, default=2e-3)
+    p.add_argument("--t-end", type=_finite, default=8.0)
     p.add_argument("--resample-every", type=int, default=5)
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
@@ -439,7 +457,10 @@ def _coerce(action, val: str):
     if isinstance(action.const, bool):
         return val.lower() in ("1", "true", "yes")
     if action.type is not None:
-        val = action.type(val)
+        try:
+            val = action.type(val)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config {action.dest}: {exc}") from None
     if action.choices is not None and val not in action.choices:
         raise ValueError(f"config {action.dest}={val!r} is not one of {list(action.choices)}")
     return val

@@ -384,8 +384,8 @@ def flow(
     phase.  The curve is declared extinct when its diameter falls below
     ``extinction_frac`` of the initial diameter.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     if resample_every < 1:
         raise ValueError("resample_every must be at least 1")
 

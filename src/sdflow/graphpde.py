@@ -59,10 +59,10 @@ class FlowConfig:
     slope_ceiling: float = 1e6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError("t_end must be nonnegative and finite")
         if self.scheme not in ("semi_implicit", "explicit_rk"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.stability_safety <= 1:

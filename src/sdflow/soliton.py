@@ -20,7 +20,10 @@ w = dk/ds = (1/v) dk/dy, v = sqrt(1 + psi^2).  The system
 is smooth through a vertical tangent, and chi makes every line of the
 kind an exact fixed point in floating point.
 
-Integration is by an adaptive Dormand-Prince 5(4) pair.  Its native
+Integration is by an adaptive Dormand-Prince 5(4) pair, advanced over a
+batch of lanes (one initial state and direction each) whose stages run
+as numpy arrays; each lane keeps its own step size and events, so its
+result does not depend on the batch.  The pair's native
 dense output and one root-finder locate every event: the y budget,
 uniform output points in y, and the loss of graphicality, where |psi|
 reaches the slope ceiling.  Trajectories are reported in y up to that
@@ -53,6 +56,7 @@ __all__ = [
     "vector_field",
     "integrate",
     "shoot_bidirectional",
+    "shoot_batch",
     "redundant_derivative_check",
     "sample_initial_state",
     "run_sweep",
@@ -141,12 +145,14 @@ class IntegratorOptions:
     sample_h: Optional[float] = None
 
     def validate(self) -> None:
-        for name in ("abs_tol", "rel_tol", "min_step", "max_step", "initial_step",
-                     "slope_ceiling", "theta_sample", "triviality_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"option {name} must be positive")
-        if self.sample_h is not None and self.sample_h <= 0:
-            raise ValueError("option sample_h must be positive")
+        names = ["abs_tol", "rel_tol", "min_step", "max_step", "initial_step",
+                 "slope_ceiling", "theta_sample", "triviality_tol"]
+        if self.sample_h is not None:
+            names.append("sample_h")
+        for name in names:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"option {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -279,18 +285,21 @@ def vector_field(kind: SolitonKind) -> Callable:
     """Arc-length right-hand side of the profile system of ``kind``.
 
     Returns f(u) -> du/ds for the state u = (y, phi, theta, k, w, chi).
+    The components are floats, or numpy arrays with one entry per lane;
+    where numpy's cos and sin return math's bits (README, "Numerical
+    notes"), both give the same slopes.
     """
     if kind.name == "steady":
 
         def f(u):
             theta = u[2]
-            return math.cos(theta), math.sin(theta), u[3], u[4], 0.0, 0.0
+            return np.cos(theta), np.sin(theta), u[3], u[4], 0.0, 0.0
 
     elif kind.name == "selfsimilar":
 
         def f(u):
             y, phi, theta, k, w, chi = u
-            c, s = math.cos(theta), math.sin(theta)
+            c, s = np.cos(theta), np.sin(theta)
             return c, s, k, w, -0.25 * chi, -k * (y * c + phi * s)
 
     else:
@@ -298,7 +307,7 @@ def vector_field(kind: SolitonKind) -> Callable:
 
         def f(u):
             _, _, theta, k, w, chi = u
-            c, s = math.cos(theta), math.sin(theta)
+            c, s = np.cos(theta), np.sin(theta)
             return c, s, k, w, chi, k * (a * c + b * s)
 
     return f
@@ -316,7 +325,7 @@ def _initial_state(kind: SolitonKind, init: ProfileState) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Dormand-Prince 5(4) with its continuous extension
+# Dormand-Prince 5(4) with its continuous extension, over lanes
 # --------------------------------------------------------------------------
 
 # Stage rows of the tableau.  The system is autonomous, so the nodes are not
@@ -329,8 +338,10 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_A_COLUMN = np.array([a for row in _A for a in row])[:, None, None]
 # 5th-order minus embedded 4th-order weights over the seven stages
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E_COLUMN = np.array(_E)[:, None, None]
 # 4th-order continuous extension (Hairer, Norsett & Wanner, DOPRI5's CONTD5)
 _D = (
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
@@ -339,22 +350,57 @@ _D = (
 )
 
 
-def _step(f, u, f0, h, atol, rtol):
-    """One step of size h from u with slope f0: (u1, the 7 stage slopes, error norm)."""
-    ks = [f0]
-    for row in _A:
-        hrow = [h * a for a in row]
-        u1 = tuple(x + sum(c * k[i] for c, k in zip(hrow, ks)) for i, x in enumerate(u))
-        ks.append(f(u1))
-    err = max(
-        abs(h * sum(e * k[i] for e, k in zip(_E, ks))) / (atol + rtol * max(abs(x), abs(x1)))
-        for i, (x, x1) in enumerate(zip(u, u1))
-    )
-    return u1, ks, err
+def _slope(f, u, out) -> None:
+    for i, v in enumerate(f(u)):
+        out[i] = v
+
+
+def _fold(coefs, ks):
+    """sum(c * k for c, k in zip(coefs, ks)) for every lane, in that order.
+
+    accumulate adds the terms one by one.  Python's sum starts from 0
+    rather than from the first term, which differs only in turning a -0.0
+    result into +0.0, as adding 0.0 does.
+    """
+    return np.add.accumulate(coefs * ks, axis=0)[-1] + 0.0
+
+
+def _step(f, u, ks, h, atol, rtol):
+    """One step of every lane: states u (6, M), step sizes h (M,).
+
+    ks (7, 6, M) holds the slope at u in ks[0]; the step fills ks[1:] with
+    the stage slopes.  Returns the new states and, per component and lane,
+    the error over its tolerance.  Every lane sees the float operations of
+    a scalar step in the same order.  (np.maximum keeps a NaN that Python's
+    max would skip, but only where the new state is not finite, and such a
+    step is rejected whatever its error.)
+    """
+    ha = _A_COLUMN * h
+    first = 0
+    for j in range(1, 7):
+        u1 = u + _fold(ha[first:first + j], ks[:j])
+        first += j
+        _slope(f, u1, ks[j])
+    scale = atol + rtol * np.maximum(np.abs(u), np.abs(u1))
+    return u1, np.abs(h * _fold(_E_COLUMN, ks)) / scale
+
+
+def _errors(ratio) -> list:
+    """Per lane, the largest error ratio over the components as Python's
+    max finds it, which skips a NaN that is not the first component."""
+    errs = ratio.max(axis=0).tolist()
+    for m, err in enumerate(errs):
+        if err != err:
+            errs[m] = max(ratio[:, m].tolist())
+    return errs
 
 
 def _dense(u, u1, ks, h) -> list:
-    """Per-component coefficients of the continuous extension over one step."""
+    """Per-component coefficients of the continuous extension over one step.
+
+    ks is the lane's (7, 6) array of stage slopes.
+    """
+    ks = ks.tolist()
     coefs = []
     for i, (x, x1) in enumerate(zip(u, u1)):
         diff = x1 - x
@@ -419,6 +465,225 @@ def _sign(x: float) -> int:
     return 0
 
 
+class _Lane:
+    """Scalar control of one directional integration in a batch.
+
+    Holds the lane's step size, samples, monitors and events, and applies
+    each attempted step with Python floats, so a lane's result does not
+    depend on the batch it runs in.
+    """
+
+    __slots__ = ("init", "direction", "y_budget", "opts", "store", "theta_c", "y_final",
+                 "s", "u", "h", "samples", "blocks", "grid_i", "theta0", "max_abs_k",
+                 "max_turning",
+                 "run_sign", "run_s", "run_theta", "event", "event_s", "certificate")
+
+    def __init__(self, u, init, direction, y_budget, opts, store, theta_c):
+        self.init, self.direction, self.y_budget = init, direction, y_budget
+        self.opts, self.store, self.theta_c = opts, store, theta_c
+        self.y_final = init.y + direction * y_budget
+        self.s, self.u = 0.0, u
+        self.h = direction * min(opts.initial_step, opts.max_step)
+        self.samples = [(0.0, *u)]
+        # full blocks of samples as arrays: 8 bytes a number rather than a
+        # float object's 24, while the lanes of a batch all store theirs
+        self.blocks = []
+        self.grid_i = 0  # index of the last uniform sample
+        self.theta0 = u[2]
+        self.max_abs_k, self.max_turning = abs(u[3]), 0.0
+        # the current run of constant curvature sign starts at (run_s, run_theta)
+        self.run_sign, self.run_s, self.run_theta = _sign(u[3]), 0.0, u[2]
+        # where graphicality was lost
+        self.event = u if abs(u[2]) >= theta_c else None
+        self.event_s = 0.0
+        self.certificate = None
+
+    def _breakdown(self, name, detail):
+        y = self.u[0] if self.event is None else self.event[0]
+        return BreakdownCertificate(name, y, self.direction, detail)
+
+    def _graphicality_loss(self):
+        return self._breakdown("graphicality_loss",
+                               {"slope": math.tan(self.event[2]),
+                                "ceiling": self.opts.slope_ceiling})
+
+    def advance(self, u1, err, finite, ks) -> Optional[bool]:
+        """Take or reject the step to u1 with stage slopes ks (7, 6).
+
+        Returns True if the step was accepted, False if it was rejected,
+        and None once the lane has ended.
+        """
+        u, h, direction, opts = self.u, self.h, self.direction, self.opts
+        # the step factors take Python's float power: np.power differs from
+        # it in the last bit on about 5 % of inputs
+        if not finite or err > 1.0:
+            h *= max(0.2, 0.9 * err**-0.2) if finite else 0.5
+            self.h = h
+            if abs(h) < opts.min_step:
+                if self.event is not None:
+                    self.certificate = self._graphicality_loss()
+                else:
+                    failure = "step_underflow" if finite else "non_finite"
+                    self.certificate = self._breakdown(failure, {"slope": math.tan(u[2])})
+                return None
+            return False
+
+        s = self.s
+        if self.event is None:
+            # the graphical part ends at the first of graphicality loss and budget
+            coefs = None
+            t_end, stop = 1.0, None
+            theta_c = self.theta_c
+            if abs(u1[2]) >= theta_c:
+                coefs = _dense(u, u1, ks, h)
+                t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
+                              abs(u1[2]) - theta_c)
+                stop = "graphicality"
+            y_final = self.y_final
+            gap = direction * (u1[0] - y_final)
+            if gap >= 0.0:
+                coefs = coefs or _dense(u, u1, ks, h)
+                t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
+                if t <= t_end:
+                    t_end, stop = t, "budget"
+            u_end = u1 if t_end == 1.0 else _at(coefs, t_end)
+            s_end = s + t_end * h
+            if stop == "budget":
+                u_end = (y_final, *u_end[1:])
+
+            samples, sample_h = self.samples, opts.sample_h
+            if self.store and sample_h is None:
+                # equal sub-steps resolving the tangent angle to theta_sample
+                n = math.ceil(abs(u_end[2] - u[2]) / opts.theta_sample)
+                for j in range(1, n):
+                    coefs = coefs or _dense(u, u1, ks, h)
+                    t = t_end * j / n
+                    samples.append((s + t * h, *_at(coefs, t)))
+                samples.append((s_end, *u_end))
+            elif self.store:
+                # uniform grid in y, which is monotone on the graphical part
+                y0, grid_i = self.init.y, self.grid_i
+                while True:
+                    target = y0 + direction * (grid_i + 1) * sample_h
+                    gap = direction * (u_end[0] - target)
+                    if gap < 0.0:
+                        break
+                    coefs = coefs or _dense(u, u1, ks, h)
+                    t = _root(lambda t: direction * (_poly(coefs[0], t) - target), t_end, gap)
+                    x = u_end if t == t_end else _at(coefs, t)
+                    samples.append((s + t * h, target, *x[1:]))
+                    grid_i += 1
+                self.grid_i = grid_i
+            if len(samples) >= 64:
+                self.blocks.append(np.array(samples))
+                samples.clear()
+
+            self.max_abs_k = max(self.max_abs_k, abs(u_end[3]))
+            self.max_turning = max(self.max_turning, abs(u_end[2] - self.theta0))
+            if stop == "budget":
+                return None
+            if stop == "graphicality":
+                self.event, self.event_s = u_end, s_end
+
+        # accept the whole step; past the vertical the curve is followed
+        # until the turning on a run of constant curvature sign passes pi
+        s = self.s = s + h
+        self.u = u1
+        sign = _sign(u1[3])
+        if sign and sign != self.run_sign:
+            if self.run_sign and self.event is not None:
+                self.certificate = self._graphicality_loss()
+                return None
+            if self.run_sign:
+                self.run_s, self.run_theta = s, u1[2]
+            self.run_sign = sign
+        if self.event is not None:
+            turning = abs(u1[2] - self.run_theta)
+            if turning > math.pi:
+                self.certificate = self._breakdown(
+                    "angle_excess",
+                    {"interval": [min(self.run_s, s), max(self.run_s, s)], "value": turning},
+                )
+                return None
+            if abs(s - self.event_s) > self.y_budget:
+                self.certificate = self._graphicality_loss()
+                return None
+        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
+        if abs(h) > opts.max_step:
+            h = direction * opts.max_step
+        self.h = h
+        return True
+
+    def trajectory(self, kind: SolitonKind) -> Trajectory:
+        rows = np.concatenate([*self.blocks, np.array(self.samples).reshape(-1, 7)])
+        return Trajectory(
+            kind=kind,
+            direction=self.direction,
+            y=rows[:, 1],
+            phi=rows[:, 2],
+            psi=np.tan(rows[:, 3]),
+            k=rows[:, 4],
+            w=rows[:, 5],
+            S=rows[:, 0],
+            outcome="completed" if self.certificate is None else "breakdown",
+            certificate=self.certificate,
+            options=self.opts,
+            max_abs_k=self.max_abs_k,
+            max_turning=self.max_turning,
+        )
+
+
+def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
+    """Advance every (init, direction) lane as one batch; one Trajectory per lane.
+
+    The tableau runs over numpy arrays of the active lanes' states, which
+    stay in place across steps; each lane's control is scalar.  Lanes that
+    end leave the batch.
+    """
+    opts.validate()
+    if not (math.isfinite(y_budget) and y_budget > 0):
+        raise ValueError("y_budget must be positive and finite")
+    for init, direction in lanes:
+        if direction not in (1, -1):
+            raise ValueError("direction must be +1 or -1")
+        if not init.is_finite():
+            raise ValueError("initial state must be finite")
+    if not lanes:
+        return []
+    f = vector_field(kind)
+    atol, rtol = opts.abs_tol, opts.rel_tol
+    theta_c = _critical_angle(opts.slope_ceiling)
+    runs = [_Lane(_initial_state(kind, init), init, direction, y_budget, opts, store, theta_c)
+            for init, direction in lanes]
+    active = runs
+    u = np.array([r.u for r in runs]).T.copy()
+    ks = np.empty((7, 6, len(runs)))
+    # a non-finite stage only rejects its lane's step, silently
+    with np.errstate(all="ignore"):
+        _slope(f, u, ks[0])
+        while active:
+            u1, ratio = _step(f, u, ks, np.array([r.h for r in active]), atol, rtol)
+            errs = _errors(ratio)
+            finite = np.isfinite(u1).all(axis=0).tolist()
+            keep, accepted = [], []
+            for m, (run, lane_u1, err) in enumerate(zip(active, u1.T.tolist(), errs)):
+                status = run.advance(lane_u1, err, finite[m] and math.isfinite(err),
+                                     ks[:, :, m])
+                if status is not None:
+                    keep.append(m)
+                    accepted.append(status)
+            if len(keep) < len(active):
+                active = [active[m] for m in keep]
+                u, u1, ks = u[:, keep], u1[:, keep], ks[:, :, keep]
+            if all(accepted):
+                u = u1
+                ks[0] = ks[6]
+            elif any(accepted):
+                u[:, accepted] = u1[:, accepted]
+                ks[0][:, accepted] = ks[6][:, accepted]
+    return [r.trajectory(kind) for r in runs]
+
+
 def integrate(
     kind: SolitonKind,
     init: ProfileState,
@@ -432,151 +697,11 @@ def integrate(
     direction is +1 or -1; y_budget is the maximum |y - y0| travelled,
     and also the most arc length followed past the loss of graphicality.
     With ``store=False`` only monitors and the outcome are kept, which
-    is what classification sweeps need.
+    is what classification sweeps need.  This is a batch of one lane.
     """
     if opts is None:
         opts = IntegratorOptions()
-    opts.validate()
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if y_budget <= 0:
-        raise ValueError("y_budget must be positive")
-    if not init.is_finite():
-        raise ValueError("initial state must be finite")
-
-    f = vector_field(kind)
-    atol, rtol, sample_h = opts.abs_tol, opts.rel_tol, opts.sample_h
-    theta_c = _critical_angle(opts.slope_ceiling)
-    y_final = init.y + direction * y_budget
-    u = _initial_state(kind, init)
-    du = f(u)
-    s = 0.0
-    samples = [(s, *u)]
-    grid_i = 0  # index of the last uniform sample
-    theta0 = u[2]
-    max_abs_k, max_turning = abs(u[3]), 0.0
-    # the current run of constant curvature sign starts at (run_s, run_theta)
-    run_sign, run_s, run_theta = _sign(u[3]), s, theta0
-    event = u if abs(theta0) >= theta_c else None  # where graphicality was lost
-    event_s = s
-    certificate = None
-    h = direction * min(opts.initial_step, opts.max_step)
-
-    def breakdown(name, detail):
-        y = u[0] if event is None else event[0]
-        return BreakdownCertificate(name, y, direction, detail)
-
-    def graphicality_loss():
-        return breakdown("graphicality_loss",
-                         {"slope": math.tan(event[2]), "ceiling": opts.slope_ceiling})
-
-    while True:
-        try:
-            u1, ks, err = _step(f, u, du, h, atol, rtol)
-            finite = math.isfinite(err) and all(map(math.isfinite, u1))
-        except ValueError:  # cos or sin of an infinite stage angle
-            finite = False
-        if not finite or err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2) if finite else 0.5
-            if abs(h) < opts.min_step:
-                if event is not None:
-                    certificate = graphicality_loss()
-                else:
-                    failure = "step_underflow" if finite else "non_finite"
-                    certificate = breakdown(failure, {"slope": math.tan(u[2])})
-                break
-            continue
-
-        if event is None:
-            # the graphical part ends at the first of graphicality loss and budget
-            coefs = None
-            t_end, stop = 1.0, None
-            if abs(u1[2]) >= theta_c:
-                coefs = _dense(u, u1, ks, h)
-                t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
-                              abs(u1[2]) - theta_c)
-                stop = "graphicality"
-            gap = direction * (u1[0] - y_final)
-            if gap >= 0.0:
-                coefs = coefs or _dense(u, u1, ks, h)
-                t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
-                if t <= t_end:
-                    t_end, stop = t, "budget"
-            u_end = u1 if t_end == 1.0 else _at(coefs, t_end)
-            s_end = s + t_end * h
-            if stop == "budget":
-                u_end = (y_final, *u_end[1:])
-
-            if store and sample_h is None:
-                # equal sub-steps resolving the tangent angle to theta_sample
-                n = math.ceil(abs(u_end[2] - u[2]) / opts.theta_sample)
-                for j in range(1, n):
-                    coefs = coefs or _dense(u, u1, ks, h)
-                    t = t_end * j / n
-                    samples.append((s + t * h, *_at(coefs, t)))
-                samples.append((s_end, *u_end))
-            elif store:
-                # uniform grid in y, which is monotone on the graphical part
-                while True:
-                    target = init.y + direction * (grid_i + 1) * sample_h
-                    gap = direction * (u_end[0] - target)
-                    if gap < 0.0:
-                        break
-                    coefs = coefs or _dense(u, u1, ks, h)
-                    t = _root(lambda t: direction * (_poly(coefs[0], t) - target), t_end, gap)
-                    x = u_end if t == t_end else _at(coefs, t)
-                    samples.append((s + t * h, target, *x[1:]))
-                    grid_i += 1
-
-            max_abs_k = max(max_abs_k, abs(u_end[3]))
-            max_turning = max(max_turning, abs(u_end[2] - theta0))
-            if stop == "budget":
-                break
-            if stop == "graphicality":
-                event, event_s = u_end, s_end
-
-        # accept the whole step; past the vertical the curve is followed
-        # until the turning on a run of constant curvature sign passes pi
-        s, u, du = s + h, u1, ks[6]
-        sign = _sign(u[3])
-        if sign and sign != run_sign:
-            if run_sign and event is not None:
-                certificate = graphicality_loss()
-                break
-            if run_sign:
-                run_s, run_theta = s, u[2]
-            run_sign = sign
-        if event is not None:
-            turning = abs(u[2] - run_theta)
-            if turning > math.pi:
-                certificate = breakdown(
-                    "angle_excess",
-                    {"interval": [min(run_s, s), max(run_s, s)], "value": turning},
-                )
-                break
-            if abs(s - event_s) > y_budget:
-                certificate = graphicality_loss()
-                break
-        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
-        if abs(h) > opts.max_step:
-            h = direction * opts.max_step
-
-    rows = np.asarray(samples)
-    return Trajectory(
-        kind=kind,
-        direction=direction,
-        y=rows[:, 1],
-        phi=rows[:, 2],
-        psi=np.tan(rows[:, 3]),
-        k=rows[:, 4],
-        w=rows[:, 5],
-        S=rows[:, 0],
-        outcome="completed" if certificate is None else "breakdown",
-        certificate=certificate,
-        options=opts,
-        max_abs_k=max_abs_k,
-        max_turning=max_turning,
-    )
+    return _integrate_lanes(kind, [(init, direction)], y_budget, opts, store)[0]
 
 
 # --------------------------------------------------------------------------
@@ -616,24 +741,11 @@ class ClassificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def shoot_bidirectional(
-    kind: SolitonKind,
-    init: ProfileState,
-    y_budget: float = 200.0,
-    opts: Optional[IntegratorOptions] = None,
-    store: bool = True,
-    seed: Optional[int] = None,
-) -> ClassificationReport:
-    """Integrate in both directions and classify the initial state.
-
-    Trivial requires both directions to complete the budget with
+def _classify(kind, init, fwd, bwd, opts, store, seed) -> ClassificationReport:
+    """Trivial requires both directions to complete the budget with
     negligible curvature and turning; a certificate from either
     direction yields Breakdown; anything else is Inconclusive.
     """
-    if opts is None:
-        opts = IntegratorOptions()
-    fwd = integrate(kind, init, 1, y_budget, opts, store=store)
-    bwd = integrate(kind, init, -1, y_budget, opts, store=store)
     max_abs_k = max(fwd.max_abs_k, bwd.max_abs_k)
     total_turning = max(fwd.max_turning, bwd.max_turning)
     certificate = None
@@ -673,6 +785,40 @@ def shoot_bidirectional(
         forward=fwd if store else None,
         backward=bwd if store else None,
     )
+
+
+def shoot_batch(
+    kind: SolitonKind,
+    inits: list,
+    y_budget: float = 200.0,
+    opts: Optional[IntegratorOptions] = None,
+    store: bool = True,
+    seed: Optional[int] = None,
+) -> list:
+    """Classify every initial state in ``inits`` by shooting both ways.
+
+    Both directions of every state run as lanes of one batch; the reports
+    are those of one ``shoot_bidirectional`` call per state.
+    """
+    if opts is None:
+        opts = IntegratorOptions()
+    lanes = [(init, direction) for init in inits for direction in (1, -1)]
+    trajs = _integrate_lanes(kind, lanes, y_budget, opts, store)
+    return [_classify(kind, init, fwd, bwd, opts, store, seed)
+            for init, fwd, bwd in zip(inits, trajs[::2], trajs[1::2])]
+
+
+def shoot_bidirectional(
+    kind: SolitonKind,
+    init: ProfileState,
+    y_budget: float = 200.0,
+    opts: Optional[IntegratorOptions] = None,
+    store: bool = True,
+    seed: Optional[int] = None,
+) -> ClassificationReport:
+    """Integrate in both directions and classify the initial state: a
+    batch of one state (see ``_classify``)."""
+    return shoot_batch(kind, [init], y_budget, opts, store, seed)[0]
 
 
 def redundant_derivative_check(traj: Trajectory) -> float:
@@ -719,13 +865,11 @@ def sample_initial_state(rng: np.random.Generator) -> ProfileState:
             return ProfileState(0.0, float(phi), float(psi), float(k), float(w), 0.0)
 
 
-def _sweep_one(args) -> ClassificationReport:
-    kind_name, a, b, seed, index, y_budget, opts_dict = args
-    kind = SolitonKind(kind_name, a, b)
-    opts = IntegratorOptions(**opts_dict)
-    rng = np.random.default_rng([seed, index])
-    init = sample_initial_state(rng)
-    return shoot_bidirectional(kind, init, y_budget, opts, store=False, seed=seed)
+def _sweep_block(args) -> list:
+    kind_name, a, b, seed, start, stop, y_budget, opts_dict = args
+    inits = [sample_initial_state(np.random.default_rng([seed, i])) for i in range(start, stop)]
+    return shoot_batch(SolitonKind(kind_name, a, b), inits, y_budget,
+                       IntegratorOptions(**opts_dict), store=False, seed=seed)
 
 
 def run_sweep(
@@ -738,23 +882,21 @@ def run_sweep(
 ) -> list:
     """Classify ``count`` seeded random initial states.
 
-    Run i uses the PRNG stream (seed, i), so results do not depend on
-    worker count or scheduling.
+    Run i uses the PRNG stream (seed, i), and a lane's result does not
+    depend on its batch, so results do not depend on worker count or
+    scheduling.  Each worker shoots one contiguous block of states as one
+    batch.
     """
     if opts is None:
         opts = IntegratorOptions()
-    jobs = [
-        (kind.name, kind.a, kind.b, seed, i, y_budget, asdict(opts))
-        for i in range(count)
-    ]
-    if workers <= 1:
-        return [_sweep_one(j) for j in jobs]
-    # about eight chunks per worker: fewer round trips than one state per
-    # task, and finer than one block per worker, whose cost per state varies
-    # enough to leave one worker idle while the other finishes its block
-    chunk = max(1, count // (8 * workers))
+    workers = max(1, min(workers, count))
+    bounds = [count * i // workers for i in range(workers + 1)]
+    jobs = [(kind.name, kind.a, kind.b, seed, lo, hi, y_budget, asdict(opts))
+            for lo, hi in zip(bounds, bounds[1:])]
+    if len(jobs) == 1:
+        return _sweep_block(jobs[0])
     # imported here, so that commands without a pool never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, jobs, chunksize=chunk))
+        return [report for block in pool.map(_sweep_block, jobs) for report in block]

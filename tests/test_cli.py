@@ -47,6 +47,36 @@ def test_shoot_inconclusive_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["shoot", "steady", "--init", "0,1,0,0", "--abs-tol", "nan"],
+    ["shoot", "steady", "--init", "0,1,0,0", "--budget", "nan"],
+    ["shoot", "steady", "--init", "0,1,0,0", "--budget", "inf"],
+    ["shoot", "steady", "--init", "0,1,0,0", "--sample-h", "nan"],
+    ["flow-graph", "--t-end", "inf"],
+    ["shoot", "steady", "--init", "nan,1,0,0"],
+    ["shoot", "steady", "--init", "0,1,0,0", "--budget", "0"],
+    ["shoot", "steady", "--init", "0,1,0,0", "--rel-tol", "-1e-10"],
+    ["sweep", "steady", "--abs-tol", "0"],
+    ["shoot", "steady", "--init", "0,1,0,0", "--sample-h", "-0.01"],
+    ["flow-graph", "--dt", "0"],
+    ["flow-curve", "--seed", "circle", "--dt=-1e-3"],
+])
+def test_non_finite_or_non_positive_flags_usage_error(tmp_path, args):
+    # each of these once certified a line as breakdown, never returned, or
+    # wrote Infinity into JSON
+    assert run(args + ["--out", tmp_path / "out"]) == 64
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["budget=nan", "abs_tol=inf", "sample_h=0", "a=nan"])
+def test_non_finite_or_non_positive_config_usage_error(tmp_path, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    args = ["shoot", "travelling", "--b", "1", "--init", "0,1,0,0", "--config", cfg]
+    assert run(args + ["--out", tmp_path / "out"]) == 64
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_selfsimilar_and_steady(tmp_path):
     assert run(["shoot", "selfsimilar", "--init", "0.3,0.2,0.4,0.1", "--budget", "0.6",
                 "--sample-h", "0.001", "--out", tmp_path / "ss"]) == 2
@@ -108,15 +138,19 @@ def test_sweep_workers_match_serial(tmp_path):
         assert (a / f"run_{i:03d}.json").read_bytes() == (b / f"run_{i:03d}.json").read_bytes()
 
 
-@pytest.mark.parametrize("count", [7, 34])
+@pytest.mark.parametrize("count", [1, 7, 34])
 def test_sweep_chunked_pool_matches_serial(tmp_path, count):
-    # 34 states on 2 workers go out in chunks of 2, the last one short
-    a, b = tmp_path / "serial", tmp_path / "par"
+    # each worker shoots one contiguous block of states as one batch: 34
+    # states on 3 workers make blocks of 11, 11 and 12, and 1 state is one
+    # block however many workers are asked for
+    a = tmp_path / "serial"
     args = ["sweep", "steady", "--count", count, "--seed", 9]
     assert run(args + ["--workers", 1, "--out", a]) == 0
-    assert run(args + ["--workers", 2, "--out", b]) == 0
-    for name in ["summary.json"] + [f"run_{i:03d}.json" for i in range(count)]:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    for workers in (2, 3):
+        b = tmp_path / f"par{workers}"
+        assert run(args + ["--workers", workers, "--out", b]) == 0
+        for name in ["summary.json"] + [f"run_{i:03d}.json" for i in range(count)]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_config_file_with_overrides(tmp_path):

@@ -345,6 +345,13 @@ def test_flow_argument_validation():
         flow(c, dt=1e-3, t_end=1.0, resample_every=0)
 
 
+@pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (math.inf, 1.0), (1e-3, math.inf),
+                                        (1e-3, math.nan)])
+def test_flow_times_must_be_finite(dt, t_end):
+    with pytest.raises(ValueError):
+        flow(seed_circle(1.0, 32), dt=dt, t_end=t_end)
+
+
 # ------------------------------------------------------------------- distances
 
 def test_hausdorff_distance_known_sets():

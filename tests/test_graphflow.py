@@ -155,6 +155,13 @@ def test_flow_config_validation():
         FlowConfig(dt=0.1, t_end=1.0, stability_safety=0.0)
 
 
+@pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.inf),
+                                        (0.1, math.nan)])
+def test_flow_config_must_be_finite(dt, t_end):
+    with pytest.raises(ValueError):
+        FlowConfig(dt=dt, t_end=t_end)
+
+
 @settings(max_examples=50, deadline=None)
 @given(half=st.integers(4, 2048), length=st.floats(0.1, 100.0))
 def test_fourth_symbol_cache_read_only_and_fresh(half, length):

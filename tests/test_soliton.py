@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdflow.soliton import (
@@ -12,16 +12,24 @@ from sdflow.soliton import (
     ProfileState,
     SolitonKind,
     Trajectory,
+    _A,
+    _E,
+    _errors,
+    _step,
     integrate,
     redundant_derivative_check,
     run_sweep,
     sample_initial_state,
+    shoot_batch,
     shoot_bidirectional,
     vector_field,
 )
 
 STEADY = SolitonKind.steady()
 SELFSIM = SolitonKind.self_similar()
+# the five kinds of the theorem sweep (acceptance criterion 1)
+CRITERION_KINDS = [STEADY, SELFSIM, SolitonKind.travelling(1.0, 0.0),
+                   SolitonKind.travelling(1.0, 1.0), SolitonKind.travelling(0.0, 1.0)]
 
 
 # ---------------------------------------------------------------- vector field
@@ -157,6 +165,25 @@ def test_integrate_argument_validation():
         integrate(STEADY, init, 1, 10.0, IntegratorOptions(abs_tol=-1.0))
     with pytest.raises(ValueError):
         integrate(STEADY, ProfileState(0, math.nan, 0, 0, 0, 0), 1, 10.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("abs_tol", math.nan), ("rel_tol", math.inf), ("min_step", -math.inf),
+    ("max_step", math.nan), ("slope_ceiling", math.inf), ("sample_h", math.nan),
+    ("sample_h", math.inf), ("sample_h", 0.0),
+])
+def test_options_must_be_positive_and_finite(field, value):
+    init = ProfileState.initial(k=1.0)
+    with pytest.raises(ValueError):
+        integrate(STEADY, init, 1, 10.0, IntegratorOptions(**{field: value}))
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(ValueError):
+        integrate(STEADY, ProfileState.initial(psi=1.0), 1, budget)
+    with pytest.raises(ValueError):
+        shoot_batch(STEADY, [ProfileState.initial(psi=1.0)], budget)
 
 
 def test_integration_is_deterministic():
@@ -338,3 +365,131 @@ def test_certificate_invariants_enforced():
         BreakdownCertificate("angle_excess", 0.0, 1, {"value": 3.0})
     with pytest.raises(ValueError):
         BreakdownCertificate("graphicality_loss", 0.0, 1, {"slope": 10.0, "ceiling": 1e6})
+
+
+# ------------------------------------------------------------------ lane batches
+
+def _scalar_slopes(kind):
+    """The scalar right-hand side, written with math's cos and sin."""
+    def f(u):
+        y, phi, theta, k, w, chi = u
+        c, s = math.cos(theta), math.sin(theta)
+        if kind.name == "steady":
+            return c, s, k, w, 0.0, 0.0
+        if kind.name == "selfsimilar":
+            return c, s, k, w, -0.25 * chi, -k * (y * c + phi * s)
+        return c, s, k, w, chi, k * (kind.a * c + kind.b * s)
+    return f
+
+
+def _scalar_step(f, u, f0, h, atol, rtol):
+    """The scalar Dormand-Prince step that the lane batches replace: the reference."""
+    ks = [f0]
+    for row in _A:
+        hrow = [h * a for a in row]
+        u1 = tuple(x + sum(c * k[i] for c, k in zip(hrow, ks)) for i, x in enumerate(u))
+        ks.append(f(u1))
+    ratios = [abs(h * sum(e * k[i] for e, k in zip(_E, ks))) / (atol + rtol * max(abs(x), abs(x1)))
+              for i, (x, x1) in enumerate(zip(u, u1))]
+    return u1, ks, ratios
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_component = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([STEADY, SELFSIM, SolitonKind.travelling(1.0, -0.5)]),
+    lanes=st.lists(st.tuples(st.tuples(*[_component] * 6),
+                             st.sampled_from([1.0, -1.0]) | st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=5),
+)
+# theta and its slope k both -0.0: the scalar sums start from 0 and give +0.0
+@example(kind=STEADY, lanes=[((0.0, 0.0, -0.0, -0.0, -0.0, 0.0), 1.0)])
+def test_batched_step_matches_scalar_step_bit_for_bit(kind, lanes):
+    f, ref = vector_field(kind), _scalar_slopes(kind)
+    u = np.array([lane for lane, _ in lanes]).T.copy()
+    h = np.array([h for _, h in lanes])
+    ks = np.empty((7, 6, len(lanes)))
+    for i, v in enumerate(f(u)):
+        ks[0, i] = v
+    u1, ratio = _step(f, u, ks, h, 1e-10, 1e-10)
+    for m, (lane, hm) in enumerate(lanes):
+        ref_u1, ref_ks, ref_ratios = _scalar_step(ref, lane, ref(lane), hm, 1e-10, 1e-10)
+        assert _bits(u1[:, m]) == _bits(ref_u1)
+        assert _bits(ks[:, :, m]) == _bits(ref_ks)
+        assert _bits(ratio[:, m]) == _bits(ref_ratios)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(0.0, 10.0) | st.sampled_from([math.nan, math.inf]),
+                         min_size=6, max_size=6), min_size=1, max_size=6))
+def test_lane_error_is_pythons_max(columns):
+    ratio = np.array(columns).T.copy()
+    assert _bits(_errors(ratio)) == _bits([max(col) for col in columns])
+
+
+def _assert_same_report(a, b):
+    assert a.to_json() == b.to_json()
+    for ta, tb in ((a.forward, b.forward), (a.backward, b.backward)):
+        assert (ta is None) == (tb is None)
+        if ta is not None:
+            for name in ("y", "phi", "psi", "k", "w", "S"):
+                assert _bits(getattr(ta, name)) == _bits(getattr(tb, name)), name
+            assert (ta.outcome, ta.max_abs_k, ta.max_turning) == (tb.outcome, tb.max_abs_k, tb.max_turning)
+
+
+# one self-similar lane per control path, for a 0.5 budget, a first step of
+# 0.75 and a smallest step of 1e-5: (initial state, certificate or outcome)
+_EDGE_LANES = [
+    (dict(psi=0.5), "trivial"),  # a line
+    (dict(psi=0.3, k=1e-6), "inconclusive"),  # the budget ends inside the first step
+    (dict(psi=2e6), "graphicality_loss"),  # starts above the slope ceiling
+    (dict(k=20.0), "angle_excess"),
+    (dict(phi=1.51, psi=0.73, k=1.9, w=2.5), "graphicality_loss"),
+    (dict(k=1e8), "step_underflow"),  # rejected until the step is below min_step
+    (dict(phi=1e308, k=1e308), "non_finite"),
+]
+
+
+@pytest.mark.parametrize("store, sample_h", [(True, None), (True, 0.01), (False, None)])
+def test_edge_lanes_match_their_batch_of_one(store, sample_h):
+    opts = IntegratorOptions(initial_step=0.75, min_step=1e-5, sample_h=sample_h)
+    inits = [ProfileState.initial(**state) for state, _ in _EDGE_LANES]
+    batch = shoot_batch(SELFSIM, inits, 0.5, opts, store=store)
+    for (state, expected), init, report in zip(_EDGE_LANES, inits, batch, strict=True):
+        assert (report.certificate.kind if report.certificate else report.outcome) == expected
+        _assert_same_report(report, shoot_bidirectional(SELFSIM, init, 0.5, opts, store=store))
+    if store and sample_h is None:
+        # one accepted step, then the budget: the initial sample and the end
+        assert batch[1].forward.n == batch[1].backward.n == 2
+        assert 0.5 < batch[1].forward.S[-1] < 0.75
+
+
+@pytest.mark.parametrize("kind", CRITERION_KINDS, ids=lambda k: f"{k.name}_{k.a:g}_{k.b:g}")
+def test_reports_invariant_to_batch_size_and_workers(kind):
+    inits = [sample_initial_state(np.random.default_rng([2027, i])) for i in range(100)]
+    expected = [shoot_bidirectional(kind, init, 200.0, store=False, seed=2027).to_json()
+                for init in inits]
+    sevens = [report for i in range(0, 100, 7)
+              for report in shoot_batch(kind, inits[i:i + 7], 200.0, store=False, seed=2027)]
+    assert [r.to_json() for r in sevens] == expected
+    assert [r.to_json() for r in shoot_batch(kind, inits, 200.0, store=False, seed=2027)] == expected
+    for workers in (1, 2, 3):
+        assert [r.to_json() for r in run_sweep(kind, 100, 2027, workers=workers)] == expected
+
+
+@pytest.mark.parametrize("sample_h", [None, 0.01])
+def test_stored_batch_trajectories_match_batch_of_one(sample_h):
+    opts = IntegratorOptions(sample_h=sample_h)
+    for kind in CRITERION_KINDS:
+        inits = [sample_initial_state(np.random.default_rng([2028, i])) for i in range(7)]
+        for init, report in zip(inits, shoot_batch(kind, inits, 200.0, opts), strict=True):
+            _assert_same_report(report, shoot_bidirectional(kind, init, 200.0, opts))
+            one = integrate(kind, init, -1, 200.0, opts)
+            for name in ("y", "phi", "psi", "k", "w", "S"):
+                assert _bits(getattr(one, name)) == _bits(getattr(report.backward, name))
