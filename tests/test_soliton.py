@@ -470,6 +470,26 @@ def test_edge_lanes_match_their_batch_of_one(store, sample_h):
         assert 0.5 < batch[1].forward.S[-1] < 0.75
 
 
+_state = st.tuples(*[st.sampled_from([0.0, -0.0, 1e-7, -3.0]) | st.floats(-2.0, 2.0)] * 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from([STEADY, SELFSIM, SolitonKind.travelling(-0.7, 2.5)]),
+    states=st.lists(_state, min_size=2, max_size=5),
+    budget=st.sampled_from([0.05, 0.5, 3.0]),
+    opts=st.builds(IntegratorOptions, sample_h=st.sampled_from([None, 0.01]),
+                   min_step=st.sampled_from([1e-14, 1e-4]),
+                   initial_step=st.sampled_from([1e-3, 0.5])),
+    store=st.booleans(),
+)
+def test_random_batches_match_batches_of_one(kind, states, budget, opts, store):
+    # lanes of one batch end, reject and sample at different steps
+    inits = [ProfileState.initial(*state) for state in states]
+    for init, report in zip(inits, shoot_batch(kind, inits, budget, opts, store), strict=True):
+        _assert_same_report(report, shoot_bidirectional(kind, init, budget, opts, store))
+
+
 @pytest.mark.parametrize("kind", CRITERION_KINDS, ids=lambda k: f"{k.name}_{k.a:g}_{k.b:g}")
 def test_reports_invariant_to_batch_size_and_workers(kind):
     inits = [sample_initial_state(np.random.default_rng([2027, i])) for i in range(100)]
