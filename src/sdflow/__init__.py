@@ -26,6 +26,8 @@ from .soliton import (
     redundant_derivative_check,
     run_sweep,
     sample_initial_state,
+    seeded_initial_states,
+    shoot_batch,
     shoot_bidirectional,
     vector_field,
 )

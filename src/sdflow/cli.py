@@ -40,7 +40,7 @@ from .soliton import (
     SolitonKind,
     Trajectory,
     run_sweep,
-    sample_initial_state,
+    seeded_initial_states,
     shoot_batch,
     shoot_bidirectional,
 )
@@ -143,8 +143,7 @@ def _cmd_shoot(parser, args) -> int:
     config = _effective_config(args, config_keys)
 
     if args.random:
-        inits = [sample_initial_state(np.random.default_rng([args.seed, i]))
-                 for i in range(args.count)]
+        inits = seeded_initial_states(args.seed, 0, args.count)
         reports = shoot_batch(kind, inits, args.budget, opts, seed=args.seed)
     else:
         if args.init is None:
@@ -318,7 +317,6 @@ def _cmd_flow_curve(parser, args) -> int:
         curve,
         dt=args.dt,
         t_end=args.t_end,
-        resample_every=args.resample_every,
         frames=args.frames,
     )
     manifest = []
@@ -334,8 +332,7 @@ def _cmd_flow_curve(parser, args) -> int:
             plot_rows.append((t, key, val))
     config = _effective_config(
         args,
-        ["seed_shape", "input", "n", "kappa", "major", "minor", "dt", "t_end",
-         "resample_every", "frames"],
+        ["seed_shape", "input", "n", "kappa", "major", "minor", "dt", "t_end", "frames"],
     )
     payload = {
         "version": __version__,
@@ -410,7 +407,6 @@ def build_parser():
     p.add_argument("--minor", type=_finite, default=0.5)
     p.add_argument("--dt", type=_positive, default=2e-3)
     p.add_argument("--t-end", type=_finite, default=8.0)
-    p.add_argument("--resample-every", type=int, default=5)
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
     _add_common(p)

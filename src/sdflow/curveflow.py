@@ -1,24 +1,21 @@
 """Curve diffusion flow for immersed closed polylines.
 
-Vertices move with normal speed equal to minus the second arc-length
-derivative of the discrete curvature.  Discrete curvature is the
-turning angle between consecutive chords divided by the arc-corrected
-vertex spacing; the chord-to-arc correction (1 + turning^2/24) removes
-the leading curvature-cubed sampling bias, so straight lines, circles
-and clothoids are discrete equilibria to high order.
+Curve diffusion moves a curve with normal speed -kappa_ss.  On a
+polyline, ``curvature_profile`` and ``normal_velocity`` evaluate it with
+the turning angle between consecutive chords divided by the
+arc-corrected vertex spacing; the chord-to-arc correction
+(1 + turning^2/24) removes the leading curvature-cubed sampling bias, so
+straight lines, circles and clothoids are equilibria of these stencils
+to high order.  The monitors use them too.
 
-Time stepping applies the raw normal velocity through the resolvent of
-the linearized operator,
-
-    X+ = X + dt (I + dt (D4 + diag(kappa^2) D2))^{-1} (V N),
-
-which is first order in time, unconditionally stable for dt below
-4/kappa_max^4 (enforced via an adaptive cap), and leaves any curve with
-constant discrete curvature exactly stationary.  Tangential motion is
-never added; uniform arc-length resampling every few steps keeps the
-vertex distribution healthy.  Self-intersections are permitted and
-never repaired, so immersed curves such as the figure eight evolve
-unhindered.
+``flow`` steps by the parametric scheme of Barrett, Garcke & Nuernberg
+(J. Comput. Phys. 222 (2007)): each step solves one linear system for
+the new vertices and their curvature together, with the normal taken
+from the old polygon.  It is unconditionally stable, never increases
+polygon length, leaves a regular polygon exactly stationary, and moves
+vertices tangentially so that they stay well spaced without resampling.
+Self-intersections are permitted and never repaired, so immersed curves
+such as the figure eight evolve unhindered.
 
 scipy is imported inside the functions that call it, so that importing
 sdflow for shooting or the graph flow does not load it.
@@ -325,69 +322,75 @@ def seed_clothoid(s_max: float, n: int) -> OpenArc:
 # time stepping
 # --------------------------------------------------------------------------
 
-def _solve_stabilized(kappa: np.ndarray, h: float, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + dt (D4 + diag(kappa^2) D2)) z = rhs on the cyclic grid.
+def _bgn_step(pts: np.ndarray, dt: float):
+    """One BGN step of a closed polygon: (vertex curvature, new vertices).
 
-    Pentadiagonal plus periodic corners; the corners are folded in with
-    a rank-4 Woodbury correction around a banded solve.
+    With mass lumping, the weighted vertex normal N_j = rot(q_{j+1} - q_{j-1}) / 2
+    (rot turns a quarter left) and the cyclic P1 stiffness matrix A of
+    the edge lengths l_j (entries 1/l_j), it solves
+
+        -A kappa + N . (X+ - X) / dt = 0,     kappa N + A X+ = 0
+
+    for kappa and the displacement X+ - X; solving for the displacement
+    keeps the result independent of where the polygon lies.  The
+    unknowns are interleaved per vertex as (kappa_j, x_j, y_j): a
+    (3, 3)-banded system plus six periodic corners, which a rank-6
+    Woodbury correction folds in around the banded solve.
     """
     from scipy.linalg import solve_banded
 
-    n = kappa.size
-    c4 = dt / h**4
-    c2 = dt * kappa * kappa / (h * h)
-    lo2 = np.full(n, c4)
-    lo1 = -4.0 * c4 + c2
-    di = 1.0 + 6.0 * c4 - 2.0 * c2
-    up1 = lo1
-    up2 = lo2
-    ab = np.zeros((5, n))
-    ab[0, 2:] = up2[:-2]
-    ab[1, 1:] = up1[:-1]
-    ab[2, :] = di
-    ab[3, :-1] = lo1[1:]
-    ab[4, :-2] = lo2[2:]
+    n = pts.shape[0]
+    edges = np.roll(pts, -1, axis=0) - pts
+    inv = 1.0 / np.hypot(edges[:, 0], edges[:, 1])  # 1/l_j, edge j joins vertex j and j+1
+    span = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    nx, ny = -0.5 * span[:, 1], 0.5 * span[:, 0]
+    diag = inv + np.roll(inv, 1)
 
-    # periodic corner entries, grouped by column: (row, col, value)
-    cols = [n - 2, n - 1, 0, 1]
-    U = np.zeros((n, 4))
-    U[0, 0] = c4  # (0, n-2)
-    U[0, 1] = lo1[0]  # (0, n-1)
-    U[1, 1] = c4  # (1, n-1)
-    U[n - 2, 2] = c4  # (n-2, 0)
-    U[n - 1, 2] = up1[n - 1]  # (n-1, 0)
-    U[n - 1, 3] = c4  # (n-1, 1)
+    ab = np.zeros((7, 3 * n))  # ab[3 + i - j, j] holds entry (i, j)
+    ab[3] = np.stack([-diag, diag, diag], axis=1).ravel()
+    off = np.stack([inv, -inv, -inv], axis=1).ravel()  # (3j + k, 3j + 3 + k) and its mirror
+    ab[0, 3:] = off[:-3]
+    ab[6, :-3] = off[:-3]
+    ab[2, 1::3] = nx / dt
+    ab[1, 2::3] = ny / dt
+    ab[4, 0::3] = nx
+    ab[5, 0::3] = ny
 
-    stacked = np.column_stack([rhs, U])
-    sol = solve_banded((2, 2), ab, stacked)
-    xb = sol[:, : rhs.shape[1]]
-    zb = sol[:, rhs.shape[1]:]
-    cap = np.eye(4) + zb[cols, :]
-    corr = np.linalg.solve(cap, xb[cols, :])
-    return xb - zb @ corr
+    # periodic corner entries, one per column: edge n-1 couples the rows and
+    # columns of vertex 0 with those of vertex n-1
+    cols = [3 * n - 3, 3 * n - 2, 3 * n - 1, 0, 1, 2]
+    U = np.zeros((3 * n, 6))
+    U[cols[3:] + cols[:3], range(6)] = np.tile(off[-3:], 2)
+
+    # -A X, the jumps of the unit tangent, is the right-hand side of the position rows
+    tangent = edges * inv[:, None]
+    rhs = np.zeros((n, 3))
+    rhs[:, 1:] = tangent - np.roll(tangent, 1, axis=0)
+    sol = solve_banded((3, 3), ab, np.column_stack([rhs.ravel(), U]))
+    xb, zb = sol[:, 0], sol[:, 1:]
+    x = xb - zb @ np.linalg.solve(np.eye(6) + zb[cols, :], xb[cols])
+    x = x.reshape(n, 3)
+    return x[:, 0], pts + x[:, 1:]
 
 
 def flow(
     c: ClosedCurve,
     dt: float,
     t_end: float,
-    resample_every: int = 5,
     extinction_frac: float = 0.05,
     frames: int = 64,
-    curvature_dt_cap: float = 1.0,
 ) -> FlowResult:
     """Evolve a closed curve by curve diffusion until t_end or extinction.
 
-    dt is the step-size ceiling; the effective step also honours the
-    adaptive curvature cap ``curvature_dt_cap / max(kappa)^4`` that keeps
-    the stabilized solve well conditioned through the final shrinking
-    phase.  The curve is declared extinct when its diameter falls below
-    ``extinction_frac`` of the initial diameter.
+    The curve is resampled to uniform arc length once, then advanced by
+    the parametric scheme of Barrett, Garcke & Nuernberg (J. Comput.
+    Phys. 222 (2007)) in steps of dt, shortened only to land on the frame
+    times.  The scheme never increases polygon length and keeps the
+    vertices well spaced by itself.  The curve is declared extinct when
+    its diameter falls below ``extinction_frac`` of the initial diameter.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
-    if resample_every < 1:
-        raise ValueError("resample_every must be at least 1")
 
     cur = resample_uniform(c)
     d0 = cur.diameter()
@@ -406,34 +409,17 @@ def flow(
     t = 0.0
     frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, cur, monitors(cur))]
     frame_times = [t_end * (j + 1) / frames for j in range(frames)]
-    pts = cur.points.copy()
-    edge_arcs = _edge_arcs(pts)  # of the current pts, carried over between steps
-    steps = 0
+    pts = cur.points
     for tf in frame_times:
         while t < tf - 1e-15 * t_end:
-            arcs, chord, kappa = edge_arcs
-            if np.min(chord) < min_edge:
+            edges = np.roll(pts, -1, axis=0) - pts
+            if np.min(np.hypot(edges[:, 0], edges[:, 1])) < min_edge:
                 return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
-            vel = -_second_arc_derivative(kappa, arcs)
-            normals = _normals(pts)
-
-            kmax = float(np.max(np.abs(kappa)))
-            dt_n = min(dt, tf - t, curvature_dt_cap / max(kmax, 1e-9) ** 4)
-            h = float(np.mean(arcs))
-            z = _solve_stabilized(kappa, h, dt_n, vel[:, None] * normals)
-            pts = pts + dt_n * z
+            dt_n = min(dt, tf - t)
+            _, pts = _bgn_step(pts, dt_n)
             t += dt_n
-            steps += 1
             if not np.all(np.isfinite(pts)):
                 return FlowResult(frames_out, FlowOutcome("failed", reason="non-finite"))
-
-            edge_arcs = _edge_arcs(pts)
-            chords = edge_arcs[1]
-            spread = (np.max(chords) - np.min(chords)) / np.mean(chords)
-            if steps % resample_every == 0 or spread > 0.02:
-                cc = resample_uniform(ClosedCurve(pts, t))
-                pts = cc.points.copy()
-                edge_arcs = _edge_arcs(pts)
 
             span = np.max(pts, axis=0) - np.min(pts, axis=0)
             if math.hypot(span[0], span[1]) < 1.5 * threshold:

@@ -59,6 +59,7 @@ __all__ = [
     "shoot_batch",
     "redundant_derivative_check",
     "sample_initial_state",
+    "seeded_initial_states",
     "run_sweep",
 ]
 
@@ -865,9 +866,14 @@ def sample_initial_state(rng: np.random.Generator) -> ProfileState:
             return ProfileState(0.0, float(phi), float(psi), float(k), float(w), 0.0)
 
 
+def seeded_initial_states(seed: int, start: int, stop: int) -> list:
+    """Initial states start..stop-1 of the seeded stream: state i draws from (seed, i)."""
+    return [sample_initial_state(np.random.default_rng([seed, i])) for i in range(start, stop)]
+
+
 def _sweep_block(args) -> list:
     kind_name, a, b, seed, start, stop, y_budget, opts_dict = args
-    inits = [sample_initial_state(np.random.default_rng([seed, i])) for i in range(start, stop)]
+    inits = seeded_initial_states(seed, start, stop)
     return shoot_batch(SolitonKind(kind_name, a, b), inits, y_budget,
                        IntegratorOptions(**opts_dict), store=False, seed=seed)
 

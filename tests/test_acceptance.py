@@ -194,7 +194,7 @@ def test_criterion_08_figure_eight_extinction():
     t0 = time.perf_counter()
     lem = seed_lemniscate(512)
     d0 = lem.diameter()
-    res = flow(lem, dt=2e-3, t_end=8.0, resample_every=5, frames=64, curvature_dt_cap=0.5)
+    res = flow(lem, dt=2e-3, t_end=8.0, frames=64)
     elapsed = time.perf_counter() - t0
     extinct = res.outcome.kind == "extinct"
     t_ext = res.outcome.t_ext if extinct else math.inf

@@ -224,6 +224,16 @@ def test_flow_curve_circle_monitors_flat(tmp_path):
     assert max(lengths) - min(lengths) <= 1e-6 * lengths[0]
 
 
+def test_flow_curve_has_no_resample_option(tmp_path):
+    # the curve flow keeps its own vertices well spaced: no periodic resample
+    assert run(["flow-curve", "--seed", "circle", "--resample-every", "5",
+                "--out", tmp_path / "out"]) == 64
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("resample_every=5\n")
+    assert run(["flow-curve", "--seed", "circle", "--config", cfg, "--out", tmp_path / "out"]) == 64
+    assert not (tmp_path / "out").exists()
+
+
 def test_flow_curve_roundtrip_via_input_file(tmp_path):
     assert run(["flow-curve", "--seed", "ellipse", "--n", 64, "--dt", "1e-3",
                 "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "e"]) == 0

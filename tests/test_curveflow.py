@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from sdflow.curveflow import (
     ClosedCurve,
+    _bgn_step,
     curvature_profile,
     flow,
     hausdorff_distance,
@@ -134,6 +135,15 @@ def test_open_stencils_match_reference_bit_for_bit(n, seed, scale, bend):
     assert open_normal_velocity(pts).tobytes() == reference_open_velocity(pts).tobytes()
 
 
+def random_star(n, seed, wobble, scale=1.0):
+    """A star-shaped loop with random radii and unequal angular steps."""
+    rng = np.random.default_rng(seed)
+    ang = np.cumsum(rng.uniform(0.2, 1.0, n))
+    ang *= 2.0 * math.pi / (ang[-1] + rng.uniform(0.2, 1.0))
+    r = scale * (1.0 + wobble * rng.uniform(-1.0, 1.0, n))
+    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+
+
 def reference_closed_curvature(pts):
     """Closed-polyline curvature and arcs as first written, with np.roll."""
     edges = np.roll(pts, -1, axis=0) - pts
@@ -157,12 +167,7 @@ def reference_closed_velocity(pts):
 @given(n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
        wobble=st.floats(0.0, 0.9))
 def test_closed_stencils_match_reference_bit_for_bit(n, seed, scale, wobble):
-    # a star-shaped loop with random radii and unequal angular steps
-    rng = np.random.default_rng(seed)
-    ang = np.cumsum(rng.uniform(0.2, 1.0, n))
-    ang *= 2.0 * math.pi / (ang[-1] + rng.uniform(0.2, 1.0))
-    r = scale * (1.0 + wobble * rng.uniform(-1.0, 1.0, n))
-    c = ClosedCurve(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
+    c = ClosedCurve(random_star(n, seed, wobble, scale))
     kappa, _ = curvature_profile(c)
     ref_kappa, ref_arcs = reference_closed_curvature(c.points)
     assert kappa.tobytes() == ref_kappa.tobytes()
@@ -285,7 +290,7 @@ def test_lemniscate_extinction_at_caption_scale():
     # is a homothetic shrinker, see test_lemniscate_homothetic_shrinker_oracle);
     # regression window
     lem = seed_lemniscate(256)
-    res = flow(lem, dt=2e-3, t_end=8.0, frames=32, curvature_dt_cap=0.5)
+    res = flow(lem, dt=2e-3, t_end=8.0, frames=32)
     assert res.outcome.kind == "extinct"
     assert 1.40 <= res.outcome.t_ext <= 1.65
     d0 = res.frames[0][2].diameter
@@ -299,7 +304,7 @@ def test_lemniscate_extinction_at_figure_scale():
     scale = math.sqrt(12.0) / (1.0 + np.sin(t) ** 2)
     pts = np.stack([scale * np.cos(t), scale * 0.5 * np.sin(2.0 * t)], axis=1)
     lem = resample_uniform(ClosedCurve(pts))
-    res = flow(lem, dt=4e-3, t_end=8.0, frames=32, curvature_dt_cap=0.5)
+    res = flow(lem, dt=4e-3, t_end=8.0, frames=32)
     assert res.outcome.kind == "extinct"
     assert 5.0 <= res.outcome.t_ext <= 7.0
 
@@ -332,17 +337,43 @@ def test_lemniscate_homothetic_shrinker_oracle():
 
 def test_lemniscate_area_stays_near_zero():
     lem = seed_lemniscate(256)
-    res = flow(lem, dt=2e-3, t_end=8.0, frames=16, curvature_dt_cap=0.5)
+    res = flow(lem, dt=2e-3, t_end=8.0, frames=16)
     bound = 1e-3 * lem.length() ** 2
     assert all(abs(m.signed_area) <= bound for _, _, m in res.frames)
+
+
+def polygon_length(pts):
+    edges = np.roll(pts, -1, axis=0) - pts
+    return float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1), wobble=st.floats(0.0, 0.9),
+       log_dt=st.floats(-6.0, -1.0))
+def test_step_never_increases_polygon_length(n, seed, wobble, log_dt):
+    pts = random_star(n, seed, wobble)
+    _, new = _bgn_step(pts, 10.0**log_dt)
+    assert polygon_length(new) <= polygon_length(pts) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64, 300])
+@pytest.mark.parametrize("dt", [1e-6, 1e-2])
+def test_regular_polygon_is_a_fixed_point(n, dt):
+    r, centre = 0.5, np.array([3.0, -2.0])
+    pts = seed_circle(1.0 / r, n).points + centre
+    for sign in (1, -1):  # counterclockwise, then clockwise
+        poly = pts[::sign]
+        kappa, new = _bgn_step(poly, dt)
+        assert np.max(np.abs(new - poly)) <= 1e-13 * r
+        # the polygon's curvature, 1/r to second order in the vertex angle
+        assert kappa == pytest.approx(sign / (r * math.cos(math.pi / n)), rel=1e-12)
+        assert kappa == pytest.approx(sign / r, rel=(math.pi / n) ** 2)
 
 
 def test_flow_argument_validation():
     c = seed_circle(1.0, 32)
     with pytest.raises(ValueError):
         flow(c, dt=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        flow(c, dt=1e-3, t_end=1.0, resample_every=0)
 
 
 @pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (math.inf, 1.0), (1e-3, math.inf),

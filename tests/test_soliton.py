@@ -492,7 +492,11 @@ def test_random_batches_match_batches_of_one(kind, states, budget, opts, store):
 
 @pytest.mark.parametrize("kind", CRITERION_KINDS, ids=lambda k: f"{k.name}_{k.a:g}_{k.b:g}")
 def test_reports_invariant_to_batch_size_and_workers(kind):
+    from sdflow import seeded_initial_states, shoot_batch as exported
+
     inits = [sample_initial_state(np.random.default_rng([2027, i])) for i in range(100)]
+    assert exported is shoot_batch
+    assert seeded_initial_states(2027, 0, 100) == inits
     expected = [shoot_bidirectional(kind, init, 200.0, store=False, seed=2027).to_json()
                 for init in inits]
     sevens = [report for i in range(0, 100, 7)
