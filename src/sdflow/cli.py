@@ -75,6 +75,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of counts that must be at least 1: frames and workers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def _load_config(path: str, allowed: set) -> dict:
     """key=value file; unknown keys are rejected."""
     out = {}
@@ -378,7 +389,7 @@ def build_parser():
 
     p = commands["sweep"] = sub.add_parser("sweep", help="seeded random classification sweep")
     _add_shoot_args(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_common(p)
 
     p = commands["verify"] = sub.add_parser("verify", help="identity checks on trajectory files")
@@ -393,7 +404,7 @@ def build_parser():
     p.add_argument("--dt", type=_positive, default=1e-2)
     p.add_argument("--t-end", type=_finite, default=1.0)
     p.add_argument("--scheme", choices=["semi_implicit", "explicit_rk"], default="semi_implicit")
-    p.add_argument("--frames", type=int, default=64)
+    p.add_argument("--frames", type=_positive_int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
     _add_common(p)
 
@@ -407,7 +418,7 @@ def build_parser():
     p.add_argument("--minor", type=_finite, default=0.5)
     p.add_argument("--dt", type=_positive, default=2e-3)
     p.add_argument("--t-end", type=_finite, default=8.0)
-    p.add_argument("--frames", type=int, default=64)
+    p.add_argument("--frames", type=_positive_int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
     _add_common(p)
     return parser, commands

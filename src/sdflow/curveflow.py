@@ -9,13 +9,14 @@ straight lines, circles and clothoids are equilibria of these stencils
 to high order.  The monitors use them too.
 
 ``flow`` steps by the parametric scheme of Barrett, Garcke & Nuernberg
-(J. Comput. Phys. 222 (2007)): each step solves one linear system for
-the new vertices and their curvature together, with the normal taken
-from the old polygon.  It is unconditionally stable, never increases
-polygon length, leaves a regular polygon exactly stationary, and moves
-vertices tangentially so that they stay well spaced without resampling.
-Self-intersections are permitted and never repaired, so immersed curves
-such as the figure eight evolve unhindered.
+(J. Comput. Phys. 222 (2007)): each step is one banded solve, with no
+periodic corners, for the new vertices and their curvature, with the
+normal taken from the old polygon.  It is unconditionally stable, never
+increases polygon length, leaves a regular polygon exactly stationary,
+and keeps vertices well spaced without resampling.  ``resample_uniform``
+puts vertices at equal arc length on the given polygon, so it never
+lengthens it either.  Self-intersections are never repaired, so
+immersed curves such as the figure eight evolve unhindered.
 
 scipy is imported inside the functions that call it, so that importing
 sdflow for shooting or the graph flow does not load it.
@@ -236,26 +237,21 @@ def open_normal_velocity(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _equal_arc_index(closed: np.ndarray, n: int) -> np.ndarray:
+    """Fractional row indices of n equal-arc points on ``closed`` (last row = first)."""
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(closed, axis=0).T))])
+    return np.interp(np.arange(n) * (s[-1] / n), s, np.arange(len(s)))
+
+
 def resample_uniform(c: ClosedCurve, n: Optional[int] = None) -> ClosedCurve:
-    """Redistribute vertices to uniform arc length (periodic spline).
+    """n vertices at equal arc length along the polygon, from vertex 0.
 
-    Chord-parameter resampling is corrected by up to two further passes;
-    residual spread is curvature-induced and shrinks with the grid.
+    Each new vertex lies on the polygon, so the result is never longer.
     """
-    from scipy.interpolate import CubicSpline
-
-    if n is None:
-        n = c.n
-    cc = c
-    for i in range(3):
-        closed = np.vstack([cc.points, cc.points[:1]])
-        seg = np.hypot(*np.diff(closed, axis=0).T)
-        if i and (np.max(seg) - np.min(seg)) / np.mean(seg) <= 0.01:
-            break
-        u = np.concatenate([[0.0], np.cumsum(seg)])
-        spline = CubicSpline(u, closed, bc_type="periodic")
-        cc = ClosedCurve(spline(np.arange(n) * u[-1] / n), c.t)
-    return cc
+    closed = np.vstack([c.points, c.points[:1]])
+    u = _equal_arc_index(closed, c.n if n is None else n)
+    idx = np.arange(c.n + 1)
+    return ClosedCurve(np.stack([np.interp(u, idx, col) for col in closed.T], axis=1), c.t)
 
 
 # --------------------------------------------------------------------------
@@ -273,15 +269,21 @@ def seed_circle(kappa: float, n: int) -> ClosedCurve:
     return ClosedCurve(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
 
 
+def _on_equal_arcs(curve, n: int) -> ClosedCurve:
+    """n points of the closed curve(t), t in [0, 2 pi), at equal arc length
+    along its inscribed 64n-gon; each is curve(t), so it lies on the curve."""
+    m = 64 * n
+    u = _equal_arc_index(curve(2.0 * math.pi * np.arange(m + 1) / m), n)
+    return ClosedCurve(curve(2.0 * math.pi * u / m))
+
+
 def seed_ellipse(a: float, b: float, n: int) -> ClosedCurve:
-    """Ellipse with semi-axes a, b, resampled to uniform arc length."""
+    """Ellipse with semi-axes a, b, at uniform arc length."""
     if a <= 0 or b <= 0:
         raise ValueError("semi-axes must be positive")
     if n < 16:
         raise ValueError("n must be at least 16")
-    ang = 2.0 * math.pi * np.arange(n) / n
-    raw = ClosedCurve(np.stack([a * np.cos(ang), b * np.sin(ang)], axis=1))
-    return resample_uniform(raw)
+    return _on_equal_arcs(lambda t: np.stack([a * np.cos(t), b * np.sin(t)], axis=1), n)
 
 
 def seed_lemniscate(n: int) -> ClosedCurve:
@@ -293,10 +295,12 @@ def seed_lemniscate(n: int) -> ClosedCurve:
     """
     if n < 64:
         raise ValueError("n must be at least 64")
-    t = 2.0 * math.pi * np.arange(n) / n
-    scale = math.sqrt(6.0) / (1.0 + np.sin(t) ** 2)
-    pts = np.stack([scale * np.cos(t), scale * 0.5 * np.sin(2.0 * t)], axis=1)
-    return resample_uniform(ClosedCurve(pts))
+
+    def figure_eight(t):
+        scale = math.sqrt(6.0) / (1.0 + np.sin(t) ** 2)
+        return np.stack([scale * np.cos(t), scale * 0.5 * np.sin(2.0 * t)], axis=1)
+
+    return _on_equal_arcs(figure_eight, n)
 
 
 def seed_clothoid(s_max: float, n: int) -> OpenArc:
@@ -333,9 +337,10 @@ def _bgn_step(pts: np.ndarray, dt: float):
 
     for kappa and the displacement X+ - X; solving for the displacement
     keeps the result independent of where the polygon lies.  The
-    unknowns are interleaved per vertex as (kappa_j, x_j, y_j): a
-    (3, 3)-banded system plus six periodic corners, which a rank-6
-    Woodbury correction folds in around the banded solve.
+    unknowns are interleaved per vertex as (kappa_j, x_j, y_j), with the
+    vertices in zig-zag order 0, n-1, 1, n-2, ...: each cycle neighbour
+    is at most two places away, so the system is (6, 6)-banded with no
+    periodic corners.
     """
     from scipy.linalg import solve_banded
 
@@ -344,33 +349,24 @@ def _bgn_step(pts: np.ndarray, dt: float):
     inv = 1.0 / np.hypot(edges[:, 0], edges[:, 1])  # 1/l_j, edge j joins vertex j and j+1
     span = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
     nx, ny = -0.5 * span[:, 1], 0.5 * span[:, 0]
-    diag = inv + np.roll(inv, 1)
 
-    ab = np.zeros((7, 3 * n))  # ab[3 + i - j, j] holds entry (i, j)
-    ab[3] = np.stack([-diag, diag, diag], axis=1).ravel()
-    off = np.stack([inv, -inv, -inv], axis=1).ravel()  # (3j + k, 3j + 3 + k) and its mirror
-    ab[0, 3:] = off[:-3]
-    ab[6, :-3] = off[:-3]
-    ab[2, 1::3] = nx / dt
-    ab[1, 2::3] = ny / dt
-    ab[4, 0::3] = nx
-    ab[5, 0::3] = ny
-
-    # periodic corner entries, one per column: edge n-1 couples the rows and
-    # columns of vertex 0 with those of vertex n-1
-    cols = [3 * n - 3, 3 * n - 2, 3 * n - 1, 0, 1, 2]
-    U = np.zeros((3 * n, 6))
-    U[cols[3:] + cols[:3], range(6)] = np.tile(off[-3:], 2)
+    v = np.arange(n)
+    idx = 3 * np.minimum(2 * v, 2 * (n - v) - 1)[:, None] + np.arange(3)  # (kappa_v, x_v, y_v)
+    nxt = np.roll(idx, -1, axis=0)  # the unknowns of vertex v + 1
+    sign = np.array([-1.0, 1.0, 1.0])  # kappa rows carry -A, position rows +A
+    ab = np.zeros((13, 3 * n))  # ab[6 + i - j, j] holds entry (i, j)
+    ab[6, idx] = sign * (inv + np.roll(inv, 1))[:, None]
+    ab[6 + idx - nxt, nxt] = -sign * inv[:, None]
+    ab[6 + nxt - idx, idx] = -sign * inv[:, None]
+    ab[5, idx[:, 1]], ab[4, idx[:, 2]] = nx / dt, ny / dt
+    ab[7, idx[:, 0]], ab[8, idx[:, 0]] = nx, ny
 
     # -A X, the jumps of the unit tangent, is the right-hand side of the position rows
     tangent = edges * inv[:, None]
-    rhs = np.zeros((n, 3))
-    rhs[:, 1:] = tangent - np.roll(tangent, 1, axis=0)
-    sol = solve_banded((3, 3), ab, np.column_stack([rhs.ravel(), U]))
-    xb, zb = sol[:, 0], sol[:, 1:]
-    x = xb - zb @ np.linalg.solve(np.eye(6) + zb[cols, :], xb[cols])
-    x = x.reshape(n, 3)
-    return x[:, 0], pts + x[:, 1:]
+    rhs = np.zeros(3 * n)
+    rhs[idx[:, 1:]] = tangent - np.roll(tangent, 1, axis=0)
+    x = solve_banded((6, 6), ab, rhs)
+    return x[idx[:, 0]], pts + x[idx[:, 1:]]
 
 
 def flow(
@@ -391,6 +387,8 @@ def flow(
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
+    if frames < 1:
+        raise ValueError("frames must be at least 1")
 
     cur = resample_uniform(c)
     d0 = cur.diameter()

@@ -158,6 +158,8 @@ def evolve(
     time exactly (the last step into a frame is shortened).  Returns the
     final field and the list of (t, field, monitors) frames.
     """
+    if frames < 1:
+        raise ValueError("frames must be at least 1")
     series = [(0.0, f, _monitors(f, 0.0))]
     if cfg.t_end == 0.0:
         return f, series

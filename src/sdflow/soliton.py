@@ -40,6 +40,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -890,8 +891,8 @@ def run_sweep(
 
     Run i uses the PRNG stream (seed, i), and a lane's result does not
     depend on its batch, so results do not depend on worker count or
-    scheduling.  Each worker shoots one contiguous block of states as one
-    batch.
+    scheduling.  The states are split into ``workers`` contiguous blocks,
+    each shot as one batch, on a pool of at most one process per CPU.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -904,5 +905,6 @@ def run_sweep(
     # imported here, so that commands without a pool never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # fork starts every worker at once, so never more than there are CPUs
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         return [report for block in pool.map(_sweep_block, jobs) for report in block]

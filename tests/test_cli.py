@@ -77,6 +77,34 @@ def test_non_finite_or_non_positive_config_usage_error(tmp_path, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["flow-graph", "--n", 64, "--frames", 0],
+    ["flow-graph", "--n", 64, "--frames", -1],
+    ["flow-graph", "--n", 64, "--frames", 2.5],
+    ["flow-curve", "--seed", "circle", "--n", 64, "--frames", 0],
+    ["flow-curve", "--seed", "circle", "--n", 64, "--frames=-1"],
+    ["sweep", "steady", "--count", 2, "--workers", 0],
+    ["sweep", "steady", "--count", 2, "--workers", -1],
+])
+def test_frames_and_workers_must_be_positive(tmp_path, args):
+    # --frames 0 once exited 0 with outcome "reached" and no step taken,
+    # and --workers 0 silently ran one worker
+    assert run(args + ["--out", tmp_path / "out"]) == 64
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["flow-graph", "--n", 64], "frames=0"),
+    (["flow-curve", "--seed", "circle", "--n", 64], "frames=-1"),
+    (["sweep", "steady", "--count", 2], "workers=0"),
+])
+def test_frames_and_workers_must_be_positive_in_config(tmp_path, args, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) == 64
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_selfsimilar_and_steady(tmp_path):
     assert run(["shoot", "selfsimilar", "--init", "0.3,0.2,0.4,0.1", "--budget", "0.6",
                 "--sample-h", "0.001", "--out", tmp_path / "ss"]) == 2

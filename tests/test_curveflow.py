@@ -228,41 +228,48 @@ def test_resample_uniform_spread():
     assert (chords.max() - chords.min()) / chords.mean() <= 0.01
 
 
-def reference_resample(c, n):
-    """resample_uniform as first written: every pass measures its chords afresh."""
-    from scipy.interpolate import CubicSpline
-
-    cc = c
-    for _ in range(3):
-        pts = cc.points
-        closed = np.vstack([pts, pts[:1]])
-        seg = np.hypot(*np.diff(closed, axis=0).T)
-        u = np.concatenate([[0.0], np.cumsum(seg)])
-        out = CubicSpline(u, closed, bc_type="periodic")(np.arange(n) * u[-1] / n)
-        cc = ClosedCurve(out, c.t)
-        edges = np.roll(out, -1, axis=0) - out
-        chords = np.hypot(edges[:, 0], edges[:, 1])
-        if (np.max(chords) - np.min(chords)) / np.mean(chords) <= 0.01:
-            break
-    return cc
+def arc_positions(poly, pts):
+    """Arc position along the closed polygon ``poly`` of the nearest point
+    to each of ``pts``, and the distance to it."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    seg = np.hypot(edges[:, 0], edges[:, 1])
+    start = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
+    d = pts[:, None, :] - poly[None]
+    lam = np.clip(np.sum(d * edges[None], axis=2) / seg**2, 0.0, 1.0)
+    gap = np.hypot(*np.moveaxis(d - lam[..., None] * edges[None], 2, 0))
+    j, rows = np.argmin(gap, axis=1), np.arange(pts.shape[0])
+    return start[j] + lam[rows, j] * seg[j], gap[rows, j]
 
 
-@pytest.mark.parametrize("n", [None, 96, 700])
-def test_resample_uniform_matches_reference_bit_for_bit(n):
-    ang = 2.0 * math.pi * np.arange(200) / 200
-    raw = [
-        # the thin ellipse takes two or three passes, the other shapes one
-        np.stack([3.0 * np.cos(ang), 0.2 * np.sin(ang)], axis=1),
-        np.stack([np.cos(ang) / (1 + np.sin(ang) ** 2), np.sin(2 * ang) / 2], axis=1),
-        seed_circle(1.0, 200).points * (1.0 + 0.1 * np.cos(5 * ang))[:, None],
-        seed_circle(1.0, 200).points,  # uniform already, yet resampled once
-    ]
-    for pts in raw:
-        c = ClosedCurve(pts, 0.25)
-        got = resample_uniform(c, n)
-        want = reference_resample(c, n or c.n)
-        assert got.points.tobytes() == want.points.tobytes()
-        assert got.t == 0.25
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(16, 300), n_out=st.integers(16, 700), seed=st.integers(0, 2**32 - 1),
+       wobble=st.floats(0.0, 0.9), scale=st.floats(1e-3, 1e3))
+def test_resample_uniform_is_equal_arcs_on_the_polygon(n, n_out, seed, wobble, scale):
+    assume(n_out != n)
+    c = ClosedCurve(random_star(n, seed, wobble, scale), 0.25)
+    out = resample_uniform(c, n_out)
+    assert out.n == n_out and out.t == 0.25
+    assert out.points[0].tobytes() == c.points[0].tobytes()
+    length = polygon_length(c.points)
+    pos, gap = arc_positions(c.points, out.points[1:])
+    assert np.max(gap) <= 1e-12 * scale
+    assert np.max(np.abs(pos - length * np.arange(1, n_out) / n_out)) <= 1e-12 * length
+    assert polygon_length(out.points) <= length * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64, 300, 512])
+def test_resample_uniform_keeps_a_regular_polygon(n):
+    c = seed_circle(2.0, n)
+    assert np.max(np.abs(resample_uniform(c).points - c.points)) <= 1e-13 * 0.5
+
+
+@pytest.mark.parametrize("n", [64, 256, 512, 1000])
+def test_seed_vertices_lie_on_the_exact_curves(n):
+    x, y = seed_lemniscate(n).points.T
+    assert np.max(np.abs((x * x + y * y) ** 2 - 6.0 * (x * x - y * y))) <= 1e-12
+    for a, b in [(1.0, 0.5), (3.0, 0.2), (0.5, 2.0)]:
+        x, y = seed_ellipse(a, b, n).points.T
+        assert np.max(np.abs((x / a) ** 2 + (y / b) ** 2 - 1.0)) <= 1e-12
 
 
 # ------------------------------------------------------------------------ flow
@@ -368,6 +375,12 @@ def test_regular_polygon_is_a_fixed_point(n, dt):
         # the polygon's curvature, 1/r to second order in the vertex angle
         assert kappa == pytest.approx(sign / (r * math.cos(math.pi / n)), rel=1e-12)
         assert kappa == pytest.approx(sign / r, rel=(math.pi / n) ** 2)
+
+
+@pytest.mark.parametrize("frames", [0, -1])
+def test_flow_needs_a_frame(frames):
+    with pytest.raises(ValueError):
+        flow(seed_circle(1.0, 32), dt=1e-3, t_end=1.0, frames=frames)
 
 
 def test_flow_argument_validation():

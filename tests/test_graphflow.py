@@ -144,6 +144,12 @@ def test_graphicality_abort():
         evolve(f, cfg, frames=4)
 
 
+@pytest.mark.parametrize("frames", [0, -1])
+def test_evolve_needs_a_frame(frames):
+    with pytest.raises(ValueError):
+        evolve(sine_field(64), FlowConfig(dt=0.01, t_end=0.1), frames=frames)
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(dt=0.0, t_end=1.0)

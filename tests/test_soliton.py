@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -505,6 +506,36 @@ def test_reports_invariant_to_batch_size_and_workers(kind):
     assert [r.to_json() for r in shoot_batch(kind, inits, 200.0, store=False, seed=2027)] == expected
     for workers in (1, 2, 3):
         assert [r.to_json() for r in run_sweep(kind, 100, 2027, workers=workers)] == expected
+
+
+def test_sweep_pool_never_exceeds_the_cpus(monkeypatch):
+    # fork starts every worker of a pool at once; blocks stay one per
+    # requested worker, so the reports do not change
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool, raising=False)
+    expected = [r.to_json() for r in run_sweep(STEADY, 7, 3, workers=1)]
+    for cpus, workers, size in [(2, 2, 2), (2, 3, 2), (2, 7, 2), (2, 5000, 2), (8, 3, 3),
+                                (None, 4, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert [r.to_json() for r in run_sweep(STEADY, 7, 3, workers=workers)] == expected
+        assert sizes.pop() == size
+    assert sizes == []
 
 
 @pytest.mark.parametrize("sample_h", [None, 0.01])

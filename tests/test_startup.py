@@ -1,7 +1,7 @@
 """Which modules a fresh interpreter loads for each kind of sdflow run.
 
 Shooting, sweeps, verification and the graph flow need only numpy;
-scipy is imported where the curve flow first solves or resamples, and
+scipy is imported where the curve flow first solves, and
 the process pool's modules where a sweep starts its workers.
 """
 
@@ -75,4 +75,4 @@ def test_curve_flow_loads_scipy(tmp_path):
          "--t-end", "2e-3", "--frames", 1, "--out", tmp_path]
     ))
     assert "scipy.linalg" in loaded
-    assert "scipy.interpolate" in loaded
+    assert "scipy.interpolate" not in loaded
