@@ -7,14 +7,7 @@ diffusion for closed curves.
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    GraphField,
-    GraphPoint,
-    curvature_from_second_derivative,
-    speed,
-    surface_diffusion_operator,
-    turning_angle,
-)
+from .geometry import GraphField, speed, surface_diffusion_operator
 from .soliton import (
     BreakdownCertificate,
     ClassificationReport,

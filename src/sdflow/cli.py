@@ -75,13 +75,21 @@ def _positive(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of counts that must be at least 1: frames and workers."""
+def _nonnegative_int(text: str) -> int:
+    """argparse type of PRNG seeds: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of counts that must be at least 1: frames, workers and states."""
+    value = _nonnegative_int(text)
+    if value == 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
 
@@ -275,11 +283,19 @@ def _emit_plot_data(path: Path, rows) -> None:
             fh.write(f"{float(t)!r},{series},{float(value)!r}\n")
 
 
-def _cmd_flow_graph(parser, args) -> int:
+def _graph_inputs(parser, args):
+    """The sine-perturbed field and its FlowConfig; values they reject are usage errors."""
     n, L = args.n, args.L
     x = np.arange(n) * L / n
-    f = GraphField(L, args.A, args.eps * np.sin(2.0 * math.pi * x / L))
-    cfg = FlowConfig(dt=args.dt, t_end=args.t_end, scheme=args.scheme)
+    try:
+        f = GraphField(L, args.A, args.eps * np.sin(2.0 * math.pi * x / L))
+        return f, FlowConfig(dt=args.dt, t_end=args.t_end)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _cmd_flow_graph(parser, args) -> int:
+    f, cfg = _graph_inputs(parser, args)
     out = _out_dir(args)
     final, series = evolve(f, cfg, frames=args.frames)
     manifest = []
@@ -291,7 +307,7 @@ def _cmd_flow_graph(parser, args) -> int:
         for key, val in mon.to_dict().items():
             if key != "t":
                 plot_rows.append((t, key, val))
-    config = _effective_config(args, ["n", "L", "A", "eps", "dt", "t_end", "scheme", "frames"])
+    config = _effective_config(args, ["n", "L", "A", "eps", "dt", "t_end", "frames"])
     _write_json(out / "manifest.json", {"version": __version__, "config": config, "frames": manifest})
     if args.emit_plot_data:
         _emit_plot_data(out / "plot_data.csv", plot_rows)
@@ -300,6 +316,8 @@ def _cmd_flow_graph(parser, args) -> int:
 
 
 def _seed_curve(parser, args) -> curveflow.ClosedCurve:
+    """The seed shape (bad values are usage errors), or the --input curve
+    at equal arc length on its polygon (an unusable file is a parse error)."""
     if args.input:
         rows = []
         try:
@@ -308,16 +326,19 @@ def _seed_curve(parser, args) -> curveflow.ClosedCurve:
                     continue
                 sx, sy = ln.split(",")
                 rows.append((float(sx), float(sy)))
+            return curveflow.resample_uniform(curveflow.ClosedCurve(np.asarray(rows)))
         except (OSError, ValueError) as exc:
             print(f"flow-curve: {exc}", file=sys.stderr)
             raise SystemExit(PARSE_ERROR)
-        return curveflow.ClosedCurve(np.asarray(rows))
-    if args.seed_shape == "lemniscate":
-        return curveflow.seed_lemniscate(args.n)
-    if args.seed_shape == "circle":
-        return curveflow.seed_circle(args.kappa, args.n)
-    if args.seed_shape == "ellipse":
-        return curveflow.seed_ellipse(args.major, args.minor, args.n)
+    try:
+        if args.seed_shape == "lemniscate":
+            return curveflow.seed_lemniscate(args.n)
+        if args.seed_shape == "circle":
+            return curveflow.seed_circle(args.kappa, args.n)
+        if args.seed_shape == "ellipse":
+            return curveflow.seed_ellipse(args.major, args.minor, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     parser.error("choose --seed lemniscate|circle|ellipse or --input FILE")
 
 
@@ -369,8 +390,8 @@ def _add_shoot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=_finite, default=0.0, help="travelling wave speed a")
     p.add_argument("--b", type=_finite, default=0.0, help="travelling wave speed b")
     p.add_argument("--random", action="store_true", help="sample seeded random initial states")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--budget", type=_positive, default=200.0)
     p.add_argument("--abs-tol", type=_positive, default=1e-10)
     p.add_argument("--rel-tol", type=_positive, default=1e-10)
@@ -403,7 +424,6 @@ def build_parser():
     p.add_argument("--eps", type=_finite, default=1e-3)
     p.add_argument("--dt", type=_positive, default=1e-2)
     p.add_argument("--t-end", type=_finite, default=1.0)
-    p.add_argument("--scheme", choices=["semi_implicit", "explicit_rk"], default="semi_implicit")
     p.add_argument("--frames", type=_positive_int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
     _add_common(p)
@@ -417,7 +437,7 @@ def build_parser():
     p.add_argument("--major", type=_finite, default=1.0)
     p.add_argument("--minor", type=_finite, default=0.5)
     p.add_argument("--dt", type=_positive, default=2e-3)
-    p.add_argument("--t-end", type=_finite, default=8.0)
+    p.add_argument("--t-end", type=_positive, default=8.0)
     p.add_argument("--frames", type=_positive_int, default=64)
     p.add_argument("--emit-plot-data", action="store_true")
     _add_common(p)

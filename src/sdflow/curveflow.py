@@ -13,7 +13,8 @@ to high order.  The monitors use them too.
 periodic corners, for the new vertices and their curvature, with the
 normal taken from the old polygon.  It is unconditionally stable, never
 increases polygon length, leaves a regular polygon exactly stationary,
-and keeps vertices well spaced without resampling.  ``resample_uniform``
+and keeps vertices well spaced, so ``flow`` starts from the vertices it
+is given.  ``resample_uniform``, which ``flow-curve --input`` applies,
 puts vertices at equal arc length on the given polygon, so it never
 lengthens it either.  Self-intersections are never repaired, so
 immersed curves such as the figure eight evolve unhindered.
@@ -378,20 +379,20 @@ def flow(
 ) -> FlowResult:
     """Evolve a closed curve by curve diffusion until t_end or extinction.
 
-    The curve is resampled to uniform arc length once, then advanced by
-    the parametric scheme of Barrett, Garcke & Nuernberg (J. Comput.
-    Phys. 222 (2007)) in steps of dt, shortened only to land on the frame
-    times.  The scheme never increases polygon length and keeps the
-    vertices well spaced by itself.  The curve is declared extinct when
-    its diameter falls below ``extinction_frac`` of the initial diameter.
+    The curve's own vertices are advanced by the parametric scheme of
+    Barrett, Garcke & Nuernberg (J. Comput. Phys. 222 (2007)) in steps of
+    dt, shortened only to land on the frame times.  The scheme never
+    increases polygon length and keeps the vertices well spaced by itself,
+    so ``c`` is not resampled: frame 0 is ``c``.  The curve is declared
+    extinct when its diameter falls below ``extinction_frac`` of the
+    initial diameter.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
     if frames < 1:
         raise ValueError("frames must be at least 1")
 
-    cur = resample_uniform(c)
-    d0 = cur.diameter()
+    d0 = c.diameter()
     threshold = extinction_frac * d0
     min_edge = 1e-12 * d0
 
@@ -405,9 +406,9 @@ def flow(
         )
 
     t = 0.0
-    frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, cur, monitors(cur))]
+    frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, c, monitors(c))]
     frame_times = [t_end * (j + 1) / frames for j in range(frames)]
-    pts = cur.points
+    pts = c.points
     for tf in frame_times:
         while t < tf - 1e-15 * t_end:
             edges = np.roll(pts, -1, axis=0) - pts

@@ -1,4 +1,4 @@
-"""Pointwise and grid geometry of entire graphs.
+"""Metric factor and grid geometry of entire graphs.
 
 A graph u(x) = A*x + w(x), with w periodic on a cell of length L, is the
 only desk-scale representation of an unbounded linear-growth graph.  All
@@ -15,29 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "GraphPoint",
     "GraphField",
     "speed",
-    "curvature_from_second_derivative",
-    "turning_angle",
     "surface_diffusion_operator",
 ]
-
-
-@dataclass(frozen=True)
-class GraphPoint:
-    """Slope/height pair of a graph at a single point."""
-
-    psi: float  # slope du/dx
-    phi: float = 0.0  # height
-
-    def __post_init__(self):
-        if not math.isfinite(self.psi):
-            raise ValueError("graph point requires a finite slope")
-
-    @property
-    def speed(self) -> float:
-        return speed(self.psi)
 
 
 def speed(psi):
@@ -48,27 +29,6 @@ def speed(psi):
     if isinstance(psi, np.ndarray):
         return np.sqrt(1.0 + psi.astype(float) ** 2)
     return math.sqrt(1.0 + psi * psi)
-
-
-def curvature_from_second_derivative(psi, phi_xx):
-    """Curvature of a graph from slope and second derivative.
-
-    k = phi_xx / (1 + psi^2)^(3/2)
-    """
-    if isinstance(psi, np.ndarray) or isinstance(phi_xx, np.ndarray):
-        v2 = 1.0 + np.asarray(psi, dtype=float) ** 2
-        return np.asarray(phi_xx, dtype=float) / (v2 * np.sqrt(v2))
-    v2 = 1.0 + psi * psi
-    return phi_xx / (v2 * math.sqrt(v2))
-
-
-def turning_angle(psi_a, psi_b):
-    """Change of tangent angle between slopes psi_a and psi_b.
-
-    Equal to arctan(psi_b) - arctan(psi_a); bounded by pi in absolute
-    value for any pair of finite slopes.
-    """
-    return np.arctan(psi_b) - np.arctan(psi_a)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """Time stepping for the graphical surface diffusion equation.
 
 The flow of u(x,t) = A x + w(x,t) is advanced on the periodic cell in
-the perturbation w.  The default scheme splits off the dominant linear
-part: the fourth derivative (its centered-difference symbol, applied in
-Fourier space) is treated implicitly and the full nonlinear right-hand
-side minus that part explicitly, which is first order in time and keeps
-every linear graph an exact fixed point.  An explicit RK4 scheme is
-available for cross-checks under the usual dx^4 step restriction.
+the perturbation w by one semi-implicit scheme.  It splits off the
+dominant linear part: the fourth derivative (its centered-difference
+symbol, applied in Fourier space) is treated implicitly and the full
+nonlinear right-hand side minus that part explicitly, which is first
+order in time and keeps every linear graph an exact fixed point.
 """
 
 from __future__ import annotations
@@ -24,17 +23,12 @@ __all__ = [
     "FlowConfig",
     "RescaleParams",
     "FrameMonitors",
-    "CflViolationError",
     "FlowDivergedError",
     "GraphicalityLostError",
     "step",
     "evolve",
     "rescale",
 ]
-
-
-class CflViolationError(ValueError):
-    """Explicit step size above the fourth-order stability bound."""
 
 
 class FlowDivergedError(RuntimeError):
@@ -54,8 +48,6 @@ class GraphicalityLostError(RuntimeError):
 class FlowConfig:
     dt: float
     t_end: float
-    scheme: str = "semi_implicit"
-    stability_safety: float = 0.9
     slope_ceiling: float = 1e6
 
     def __post_init__(self):
@@ -63,10 +55,6 @@ class FlowConfig:
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError("t_end must be nonnegative and finite")
-        if self.scheme not in ("semi_implicit", "explicit_rk"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 0 < self.stability_safety <= 1:
-            raise ValueError("stability_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -109,28 +97,11 @@ def _fourth_symbol(n: int, dx: float) -> np.ndarray:
 
 def step(f: GraphField, cfg: FlowConfig) -> GraphField:
     """Advance the field by one time step of cfg.dt."""
-    if cfg.scheme == "explicit_rk":
-        bound = cfg.stability_safety * f.dx**4 / 8.0
-        if cfg.dt > bound:
-            raise CflViolationError(
-                f"explicit step dt={cfg.dt!r} above stability bound {bound!r}"
-            )
-        w = f.values
-
-        def rhs(wv):
-            return surface_diffusion_operator(f.with_values(wv)).values
-
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * cfg.dt * k1)
-        k3 = rhs(w + 0.5 * cfg.dt * k2)
-        k4 = rhs(w + cfg.dt * k3)
-        out = w + cfg.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        m = _fourth_symbol(f.n, f.dx)
-        w = f.values
-        wh = np.fft.rfft(w)
-        nonlinear = surface_diffusion_operator(f).values + np.fft.irfft(m * wh, f.n)
-        out = np.fft.irfft((wh + cfg.dt * np.fft.rfft(nonlinear)) / (1.0 + cfg.dt * m), f.n)
+    m = _fourth_symbol(f.n, f.dx)
+    w = f.values
+    wh = np.fft.rfft(w)
+    nonlinear = surface_diffusion_operator(f).values + np.fft.irfft(m * wh, f.n)
+    out = np.fft.irfft((wh + cfg.dt * np.fft.rfft(nonlinear)) / (1.0 + cfg.dt * m), f.n)
     if not np.all(np.isfinite(out)):
         raise FlowDivergedError("non-finite field after step")
     return f.with_values(out)

@@ -1,9 +1,14 @@
 import json
+import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdflow.cli import main
+from sdflow.curveflow import ClosedCurve, resample_uniform
 
 
 def run(args):
@@ -60,10 +65,16 @@ def test_shoot_inconclusive_exit_two(tmp_path):
     ["shoot", "steady", "--init", "0,1,0,0", "--sample-h", "-0.01"],
     ["flow-graph", "--dt", "0"],
     ["flow-curve", "--seed", "circle", "--dt=-1e-3"],
+    ["flow-graph", "--L=-1"],
+    ["flow-graph", "--n", 7],
+    ["flow-graph", "--t-end=-1"],
+    ["flow-curve", "--seed", "circle", "--kappa=-1"],
+    ["flow-curve", "--seed", "circle", "--n", 8],
+    ["flow-curve", "--seed", "circle", "--t-end", 0],
 ])
 def test_non_finite_or_non_positive_flags_usage_error(tmp_path, args):
-    # each of these once certified a line as breakdown, never returned, or
-    # wrote Infinity into JSON
+    # each of these once certified a line as breakdown, never returned,
+    # wrote Infinity into JSON, or exited 1 with the library's ValueError
     assert run(args + ["--out", tmp_path / "out"]) == 64
     assert not (tmp_path / "out").exists()
 
@@ -85,10 +96,15 @@ def test_non_finite_or_non_positive_config_usage_error(tmp_path, line):
     ["flow-curve", "--seed", "circle", "--n", 64, "--frames=-1"],
     ["sweep", "steady", "--count", 2, "--workers", 0],
     ["sweep", "steady", "--count", 2, "--workers", -1],
+    ["sweep", "steady", "--random", "--count=-3"],
+    ["shoot", "steady", "--random", "--count", 0],
+    ["shoot", "steady", "--random", "--seed=-1"],
+    ["sweep", "steady", "--count", 2, "--seed=-1"],
 ])
 def test_frames_and_workers_must_be_positive(tmp_path, args):
     # --frames 0 once exited 0 with outcome "reached" and no step taken,
-    # and --workers 0 silently ran one worker
+    # --workers 0 silently ran one worker, --count 0 or -3 classified
+    # nothing and exited 0, and --seed -1 exited 1 from numpy
     assert run(args + ["--out", tmp_path / "out"]) == 64
     assert not (tmp_path / "out").exists()
 
@@ -97,6 +113,9 @@ def test_frames_and_workers_must_be_positive(tmp_path, args):
     (["flow-graph", "--n", 64], "frames=0"),
     (["flow-curve", "--seed", "circle", "--n", 64], "frames=-1"),
     (["sweep", "steady", "--count", 2], "workers=0"),
+    (["sweep", "steady"], "count=-3"),
+    (["shoot", "steady", "--random"], "count=0"),
+    (["shoot", "steady", "--random"], "seed=-1"),
 ])
 def test_frames_and_workers_must_be_positive_in_config(tmp_path, args, line):
     cfg = tmp_path / "cfg.txt"
@@ -212,8 +231,8 @@ def test_config_loses_to_positional_kind(tmp_path):
 
 def test_config_value_outside_choices_usage_error(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("scheme=bogus\n")
-    assert run(["flow-graph", "--n", 64, "--t-end", 0.01, "--config", cfg, "--out", tmp_path]) == 64
+    cfg.write_text("seed_shape=bogus\n")
+    assert run(["flow-curve", "--n", 64, "--t-end", 0.01, "--config", cfg, "--out", tmp_path]) == 64
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -262,6 +281,32 @@ def test_flow_curve_has_no_resample_option(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_flow_graph_has_no_scheme_option(tmp_path):
+    # the graph flow has one scheme, the semi-implicit one
+    assert run(["flow-graph", "--n", 64, "--scheme", "semi_implicit", "--out", tmp_path / "out"]) == 64
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scheme=semi_implicit\n")
+    assert run(["flow-graph", "--n", 64, "--config", cfg, "--out", tmp_path / "out"]) == 64
+    assert not (tmp_path / "out").exists()
+    assert run(["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "g"]) == 0
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert "scheme" not in manifest["config"]
+
+
+def test_flow_curve_input_is_resampled_to_equal_arcs(tmp_path):
+    # an ellipse sampled evenly in its parameter: chords from 0.1 to 0.3
+    t = [2.0 * math.pi * i / 64 for i in range(64)]
+    uneven = np.array([[3.0 * math.cos(a), math.sin(a)] for a in t])
+    src = tmp_path / "uneven.csv"
+    src.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in uneven.tolist()))
+    assert run(["flow-curve", "--input", src, "--dt", "1e-3", "--t-end", 0.01, "--frames", 1,
+                "--out", tmp_path / "e"]) == 0
+    rows = (tmp_path / "e" / "curve_000.csv").read_text().splitlines()[1:]
+    frame0 = np.array([[float(v) for v in row.split(",")] for row in rows])
+    # equal arc length along the file's polygon (see test_resample_uniform_is_equal_arcs_on_the_polygon)
+    assert frame0.tobytes() == resample_uniform(ClosedCurve(uneven)).points.tobytes()
+
+
 def test_flow_curve_roundtrip_via_input_file(tmp_path):
     assert run(["flow-curve", "--seed", "ellipse", "--n", 64, "--dt", "1e-3",
                 "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "e"]) == 0
@@ -270,3 +315,41 @@ def test_flow_curve_roundtrip_via_input_file(tmp_path):
                 "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "e2"]) == 0
     assert run(["flow-curve", "--input", tmp_path / "e" / "manifest.json",
                 "--dt", "1e-3", "--t-end", 0.01]) == 65
+    # ClosedCurve needs 16 vertices: a readable file of 15 rows is still unusable
+    short = tmp_path / "short.csv"
+    short.write_text("x,y\n" + "".join(f"{math.cos(0.4 * i)!r},{math.sin(0.4 * i)!r}\n"
+                                       for i in range(15)))
+    assert run(["flow-curve", "--input", short, "--out", tmp_path / "s"]) == 65
+
+
+def readme_commands():
+    """(argv, exit code) of each command in the README's "Command line" block.
+
+    A command's exit code is the first "exit N" in the comment lines above it.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    commands, comment, in_comment = [], "", False
+    for line in block.splitlines():
+        if line.startswith("#"):
+            comment = (comment if in_comment else "") + line
+            in_comment = True
+            continue
+        in_comment = False
+        if line.startswith("sdflow "):
+            stated = re.search(r"\bexit (\d+)", comment)
+            assert stated, f"README states no exit code for: {line}"
+            commands.append((shlex.split(line)[1:], int(stated.group(1))))
+    return commands
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch):
+    # the README's runs/... paths, written and read, are relative: run them in tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SDFLOW_OUT", raising=False)
+    commands = readme_commands()
+    assert [argv[0] for argv, _ in commands] == [
+        "shoot", "sweep", "shoot", "verify", "flow-graph", "flow-curve", "flow-curve"]
+    for argv, code in commands:
+        assert main(argv) == code, argv
+    assert (tmp_path / "runs" / "v" / "verify.json").is_file()

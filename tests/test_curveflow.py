@@ -377,6 +377,14 @@ def test_regular_polygon_is_a_fixed_point(n, dt):
         assert kappa == pytest.approx(sign / r, rel=(math.pi / n) ** 2)
 
 
+def test_flow_starts_from_the_given_vertices():
+    # the seed lies on the exact lemniscate; resampling would move it onto its own chords
+    lem = seed_lemniscate(256)
+    res = flow(lem, dt=2e-3, t_end=0.01, frames=1)
+    assert res.frames[0][1].points.tobytes() == lem.points.tobytes()
+    assert res.frames[0][2].diameter == lem.diameter()
+
+
 @pytest.mark.parametrize("frames", [0, -1])
 def test_flow_needs_a_frame(frames):
     with pytest.raises(ValueError):

@@ -6,14 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdflow.geometry import (
-    GraphField,
-    GraphPoint,
-    curvature_from_second_derivative,
-    speed,
-    surface_diffusion_operator,
-    turning_angle,
-)
+from sdflow.geometry import GraphField, speed, surface_diffusion_operator
 from sdflow.geometry import _d1, _d2
 
 
@@ -43,32 +36,6 @@ def test_speed_at_least_one():
     rng = np.random.default_rng(1)
     psi = rng.standard_cauchy(10000)
     assert np.all(speed(psi) >= 1.0)
-    assert GraphPoint(psi=2.0).speed == speed(2.0)
-
-
-def test_graph_point_requires_finite_slope():
-    with pytest.raises(ValueError):
-        GraphPoint(psi=math.inf)
-
-
-def test_curvature_examples():
-    assert curvature_from_second_derivative(0.0, 2.0) == 2.0
-    assert curvature_from_second_derivative(1.0, 0.0) == 0.0
-    assert curvature_from_second_derivative(1.0, 2.0 * math.sqrt(2.0)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_turning_angle_examples():
-    assert turning_angle(0.0, 0.0) == 0.0
-    assert turning_angle(-1.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-15)
-
-
-def test_turning_angle_antisymmetric_and_bounded():
-    rng = np.random.default_rng(2)
-    a = rng.standard_cauchy(20000)
-    b = rng.standard_cauchy(20000)
-    t = turning_angle(a, b)
-    assert np.allclose(t, -turning_angle(b, a), atol=0.0)
-    assert np.all(np.abs(t) <= math.pi)
 
 
 def _field(n, L, A, w):

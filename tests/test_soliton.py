@@ -491,6 +491,20 @@ def test_random_batches_match_batches_of_one(kind, states, budget, opts, store):
         _assert_same_report(report, shoot_bidirectional(kind, init, budget, opts, store))
 
 
+def test_numpy_trig_returns_math_bits_at_every_array_length():
+    # the premise of batch-size invariance (README "Numerical notes"): a lane's
+    # cos and sin must not depend on how many lanes numpy evaluates at once
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[0.0, -0.0], np.arange(-12, 13) * (math.pi / 2),
+                        rng.uniform(-20.0, 20.0, 100_000)])
+    for np_fn, math_fn in ((np.cos, math.cos), (np.sin, math.sin)):
+        expected = np.array([math_fn(v) for v in x.tolist()]).tobytes()
+        assert np_fn(x).tobytes() == expected
+        for size in range(1, 18):
+            parts = [np_fn(x[i:i + size]) for i in range(0, x.size, size)]
+            assert np.concatenate(parts).tobytes() == expected, f"arrays of {size}"
+
+
 @pytest.mark.parametrize("kind", CRITERION_KINDS, ids=lambda k: f"{k.name}_{k.a:g}_{k.b:g}")
 def test_reports_invariant_to_batch_size_and_workers(kind):
     from sdflow import seeded_initial_states, shoot_batch as exported
