@@ -135,14 +135,6 @@ def _kind_from_args(parser, args) -> SolitonKind:
     return SolitonKind(args.kind)
 
 
-def _integrator_options(args) -> IntegratorOptions:
-    return IntegratorOptions(
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        sample_h=args.sample_h,
-    )
-
-
 def _parse_init(parser, text: str) -> ProfileState:
     parts = text.split(",")
     if len(parts) != 4:
@@ -156,7 +148,7 @@ def _parse_init(parser, text: str) -> ProfileState:
 
 def _cmd_shoot(parser, args) -> int:
     kind = _kind_from_args(parser, args)
-    opts = _integrator_options(args)
+    opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol, sample_h=args.sample_h)
     config_keys = ["kind", "a", "b", "init", "random", "seed", "count",
                    "budget", "abs_tol", "rel_tol", "sample_h"]
     config = _effective_config(args, config_keys)
@@ -192,7 +184,7 @@ def _cmd_shoot(parser, args) -> int:
 
 def _cmd_sweep(parser, args) -> int:
     kind = _kind_from_args(parser, args)
-    opts = _integrator_options(args)
+    opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     out = _out_dir(args)
     reports = run_sweep(kind, args.count, args.seed, args.budget, opts, workers=args.workers)
     # workers is execution infrastructure, not experiment identity: per-run
@@ -286,12 +278,13 @@ def _emit_plot_data(path: Path, rows) -> None:
 def _graph_inputs(parser, args):
     """The sine-perturbed field and its FlowConfig; values they reject are usage errors."""
     n, L = args.n, args.L
-    x = np.arange(n) * L / n
     try:
-        f = GraphField(L, args.A, args.eps * np.sin(2.0 * math.pi * x / L))
-        return f, FlowConfig(dt=args.dt, t_end=args.t_end)
+        flat = GraphField(L, args.A, np.zeros(n))
+        cfg = FlowConfig(dt=args.dt, t_end=args.t_end)
     except ValueError as exc:
         parser.error(str(exc))
+    x = np.arange(n) * L / n
+    return flat.with_values(args.eps * np.sin(2.0 * math.pi * x / L)), cfg
 
 
 def _cmd_flow_graph(parser, args) -> int:
@@ -319,14 +312,9 @@ def _seed_curve(parser, args) -> curveflow.ClosedCurve:
     """The seed shape (bad values are usage errors), or the --input curve
     at equal arc length on its polygon (an unusable file is a parse error)."""
     if args.input:
-        rows = []
         try:
-            for ln in Path(args.input).read_text().strip().splitlines():
-                if ln.startswith("#") or ln.strip() == "x,y":
-                    continue
-                sx, sy = ln.split(",")
-                rows.append((float(sx), float(sy)))
-            return curveflow.resample_uniform(curveflow.ClosedCurve(np.asarray(rows)))
+            curve = curveflow.ClosedCurve.from_csv(Path(args.input).read_text())
+            return curveflow.resample_uniform(curve)
         except (OSError, ValueError) as exc:
             print(f"flow-curve: {exc}", file=sys.stderr)
             raise SystemExit(PARSE_ERROR)
@@ -355,10 +343,7 @@ def _cmd_flow_curve(parser, args) -> int:
     plot_rows = []
     for i, (t, c, mon) in enumerate(result.frames):
         fname = f"curve_{i:03d}.csv"
-        with (out / fname).open("w") as fh:
-            fh.write("x,y\n")
-            for px, py in c.points:
-                fh.write(f"{float(px)!r},{float(py)!r}\n")
+        (out / fname).write_text(c.to_csv())
         manifest.append({"t": t, "file": fname, **mon.to_dict()})
         for key, val in mon.to_dict().items():
             plot_rows.append((t, key, val))
@@ -385,8 +370,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_shoot_args(p: argparse.ArgumentParser) -> None:
+    """The arguments of shoot and sweep; shoot adds --init and --sample-h."""
     p.add_argument("kind", choices=["steady", "selfsimilar", "travelling"])
-    p.add_argument("--init", default=None, help="phi,psi,k,w at y=0")
     p.add_argument("--a", type=_finite, default=0.0, help="travelling wave speed a")
     p.add_argument("--b", type=_finite, default=0.0, help="travelling wave speed b")
     p.add_argument("--random", action="store_true", help="sample seeded random initial states")
@@ -395,7 +380,6 @@ def _add_shoot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_positive, default=200.0)
     p.add_argument("--abs-tol", type=_positive, default=1e-10)
     p.add_argument("--rel-tol", type=_positive, default=1e-10)
-    p.add_argument("--sample-h", type=_positive, default=None)
 
 
 def build_parser():
@@ -406,6 +390,8 @@ def build_parser():
 
     p = commands["shoot"] = sub.add_parser("shoot", help="classify one or more initial states")
     _add_shoot_args(p)
+    p.add_argument("--init", default=None, help="phi,psi,k,w at y=0")
+    p.add_argument("--sample-h", type=_positive, default=None)
     _add_common(p)
 
     p = commands["sweep"] = sub.add_parser("sweep", help="seeded random classification sweep")
@@ -431,7 +417,8 @@ def build_parser():
     p = commands["flow-curve"] = sub.add_parser("flow-curve", help="evolve a closed curve")
     p.add_argument("--seed", dest="seed_shape", choices=["lemniscate", "circle", "ellipse"],
                    default=None)
-    p.add_argument("--input", default=None, help="CSV of x,y rows (closed implied)")
+    p.add_argument("--input", default=None,
+                   help="curve frame CSV (header x,y, closed implied), resampled to equal arcs")
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--kappa", type=_finite, default=2.0)
     p.add_argument("--major", type=_finite, default=1.0)
@@ -472,7 +459,7 @@ def main(argv=None) -> int:
         print(f"sdflow: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return _COMMANDS[args.command](parser, args)
+        return _COMMANDS[args.command](commands[args.command], args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (ValueError, OSError) as exc:

@@ -31,6 +31,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .geometry import _read_csv, _write_csv
+
 __all__ = [
     "ClosedCurve",
     "OpenArc",
@@ -65,14 +67,20 @@ class ClosedCurve:
             raise ValueError("need an (n, 2) array with n >= 16")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        edges = np.roll(pts, -1, axis=0) - pts
-        chord = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(chord == 0.0):
+        if np.any(np.all(pts == np.roll(pts, -1, axis=0), axis=1)):
             raise ValueError("consecutive points must be distinct")
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    def to_csv(self) -> str:
+        """The vertices as CSV ``x,y``; the closing edge is implied."""
+        return _write_csv("x,y", self.points.T)
+
+    @staticmethod
+    def from_csv(text: str) -> "ClosedCurve":
+        return ClosedCurve(_read_csv(text, "x,y")[1])
 
     def length(self) -> float:
         return float(np.sum(_edge_arcs(self.points)[0]))

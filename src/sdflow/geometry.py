@@ -4,11 +4,14 @@ A graph u(x) = A*x + w(x), with w periodic on a cell of length L, is the
 only desk-scale representation of an unbounded linear-growth graph.  All
 finite differences are centered and second order on the periodic grid;
 the background A*x enters only through its (periodic) derivatives.
+
+``_write_csv`` and ``_read_csv`` are the one CSV codec of the package:
+graph frames, trajectories and curve frames are each a header and float
+columns written and read through them.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +22,49 @@ __all__ = [
     "speed",
     "surface_diffusion_operator",
 ]
+
+
+def _write_csv(header: str, columns, meta=None) -> str:
+    """CSV text of equal-length float ``columns`` under ``header``.
+
+    Optional ``# key=value`` lines of ``meta`` come first.  Each value is
+    written at shortest round-trip precision, with signed zeros as 0.0,
+    so equal data serialize to equal bytes.
+    """
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    values = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
+    # one %-format over every row: %r is repr, and faster than a join per row
+    row = ",".join(["%r"] * values.shape[1])
+    lines += [header, "\n".join([row] * values.shape[0]) % tuple(values.ravel().tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _read_csv(text: str, header: str):
+    """The metadata dict and the float rows (a 2-d array) of ``_write_csv`` text.
+
+    Raises ValueError unless the leading ``#`` lines are followed by
+    exactly ``header``, then by at least one row, each of the header's
+    column count and of finite numbers only.
+    """
+    lines = iter(text.splitlines())
+    meta = {}
+    line = next(lines, "")
+    while line.startswith("#"):
+        key, _, value = line[1:].partition("=")
+        meta[key.strip()] = value.strip()
+        line = next(lines, "")
+    if line != header:
+        raise ValueError(f"expected CSV header {header!r}")
+    rows = [ln.split(",") for ln in lines]
+    if not rows:
+        raise ValueError("no CSV rows below the header")
+    width = header.count(",") + 1
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"every CSV row must have {width} values")
+    values = np.array([[float(v) for v in row] for row in rows])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("CSV values must be finite")
+    return meta, values
 
 
 def speed(psi):
@@ -71,30 +117,16 @@ class GraphField:
         return GraphField(self.domain_length, self.slope_offset, values)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,w\n")
-        for xi, wi in zip(self.x, self.values):
-            # + 0.0 normalizes signed zeros so equal fields serialize equally
-            buf.write(f"{float(xi) + 0.0!r},{float(wi) + 0.0!r}\n")
-        return buf.getvalue()
+        return _write_csv("x,w", (self.x, self.values))
 
     @staticmethod
     def from_csv(text: str, slope_offset: float = 0.0) -> "GraphField":
-        lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-        if not lines or lines[0].strip() != "x,w":
-            raise ValueError("expected CSV header 'x,w'")
-        xs, ws = [], []
-        for ln in lines[1:]:
-            sx, sw = ln.split(",")
-            xs.append(float(sx))
-            ws.append(float(sw))
-        xs = np.asarray(xs)
-        ws = np.asarray(ws)
+        _, rows = _read_csv(text, "x,w")
+        xs = rows[:, 0]
         if xs.size < 2 or xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
             raise ValueError("x column must ascend from 0")
         # x spacing implies the cell length: x ends one step short of L
-        dx = xs[1] - xs[0]
-        return GraphField(dx * xs.size, slope_offset, ws)
+        return GraphField((xs[1] - xs[0]) * xs.size, slope_offset, rows[:, 1])
 
 
 # The periodic stencils are written into one output through slices, with

@@ -37,7 +37,6 @@ event), or a numerical failure (non-finite state, step underflow).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -46,6 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; sweeps and shoots all draw from it
+
+from .geometry import _read_csv, _write_csv
 
 __all__ = [
     "SolitonKind",
@@ -87,6 +88,8 @@ class SolitonKind:
     def __post_init__(self):
         if self.name not in _KIND_NAMES:
             raise ValueError(f"unknown soliton kind {self.name!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("direction (a, b) must be finite")
         if self.name == "travelling" and self.a * self.a + self.b * self.b == 0.0:
             raise ValueError("travelling wave needs a nonzero direction (a, b)")
 
@@ -192,6 +195,9 @@ class BreakdownCertificate:
         }
 
 
+_TRAJECTORY_HEADER = "y,phi,psi,theta,k,w,S"
+
+
 @dataclass
 class Trajectory:
     """Dense output of one directional integration."""
@@ -219,63 +225,27 @@ class Trajectory:
         return self.y.size
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# kind={self.kind.name}\n")
-        buf.write(f"# a={self.kind.a!r}\n")
-        buf.write(f"# b={self.kind.b!r}\n")
-        buf.write(f"# direction={self.direction}\n")
-        buf.write(f"# outcome={self.outcome}\n")
-        buf.write("y,phi,psi,theta,k,w,S\n")
-        theta = self.theta
-        for i in range(self.n):
-            row = (self.y[i], self.phi[i], self.psi[i], theta[i], self.k[i], self.w[i], self.S[i])
-            buf.write(",".join(repr(float(x)) for x in row) + "\n")
-        return buf.getvalue()
+        meta = {"kind": self.kind.name, "a": self.kind.a, "b": self.kind.b,
+                "direction": self.direction, "outcome": self.outcome}
+        columns = (self.y, self.phi, self.psi, self.theta, self.k, self.w, self.S)
+        return _write_csv(_TRAJECTORY_HEADER, columns, meta)
 
     @staticmethod
     def from_csv(text: str) -> "Trajectory":
-        meta = {}
-        rows = []
-        header_seen = False
-        for ln in text.strip().splitlines():
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                key, _, val = ln[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            if not header_seen:
-                if ln.strip() != "y,phi,psi,theta,k,w,S":
-                    raise ValueError("bad trajectory header")
-                header_seen = True
-                continue
-            parts = ln.split(",")
-            if len(parts) != 7:
-                raise ValueError("truncated trajectory row")
-            rows.append([float(p) for p in parts])
-        if not header_seen or not rows:
-            raise ValueError("empty trajectory file")
+        meta, rows = _read_csv(text, _TRAJECTORY_HEADER)
         try:
             kind = SolitonKind(meta["kind"], float(meta.get("a", 0.0)), float(meta.get("b", 0.0)))
             direction = int(meta.get("direction", 1))
-            outcome = meta.get("outcome", "completed")
         except KeyError as exc:
             raise ValueError(f"missing trajectory metadata {exc}") from exc
-        arr = np.asarray(rows)
+        y, phi, psi, theta, k, w, S = rows.T
         return Trajectory(
-            kind=kind,
-            direction=direction,
-            y=arr[:, 0],
-            phi=arr[:, 1],
-            psi=arr[:, 2],
-            k=arr[:, 4],
-            w=arr[:, 5],
-            S=arr[:, 6],
-            outcome=outcome,
+            kind, direction, y, phi, psi, k, w, S,
+            outcome=meta.get("outcome", "completed"),
             certificate=None,
             options=IntegratorOptions(),
-            max_abs_k=float(np.max(np.abs(arr[:, 4]))),
-            max_turning=float(np.max(np.abs(arr[:, 3] - arr[0, 3]))),
+            max_abs_k=float(np.max(np.abs(k))),
+            max_turning=float(np.max(np.abs(theta - theta[0]))),
         )
 
 

@@ -167,6 +167,21 @@ def test_verify_truncated_file_parse_error(tmp_path):
     assert run(["verify", missing, "--out", tmp_path]) == 65
 
 
+def test_verify_non_finite_field_parse_error(tmp_path):
+    # a nan once passed the reader: verify wrote "max_residual": NaN and exited 1
+    assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
+                "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
+    lines = (tmp_path / "sd" / "trajectory_fwd.csv").read_text().splitlines()
+    row = lines.index("y,phi,psi,theta,k,w,S") + 5
+    cols = lines[row].split(",")
+    cols[5] = "nan"
+    lines[row] = ",".join(cols)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
+    assert not (tmp_path / "v" / "verify.json").exists()
+
+
 def test_sweep_summary_and_reproducibility(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["sweep", "steady", "--count", 4, "--seed", 3, "--out", a]) == 0
@@ -198,6 +213,20 @@ def test_sweep_chunked_pool_matches_serial(tmp_path, count):
         assert run(args + ["--workers", workers, "--out", b]) == 0
         for name in ["summary.json"] + [f"run_{i:03d}.json" for i in range(count)]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, line", [
+    (["--init", "0,1,0,0"], "init=0,1,0,0"),
+    (["--sample-h", "0.5"], "sample_h=0.5"),
+])
+def test_sweep_takes_no_init_or_sample_h(tmp_path, flag, line):
+    # sweep once ignored --init, and echoed --sample-h in no summary
+    args = ["sweep", "steady", "--random", "--count", 2, "--out", tmp_path / "out"]
+    assert run(args + flag) == 64
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    assert run(args + ["--config", cfg]) == 64
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -291,6 +320,16 @@ def test_flow_graph_has_no_scheme_option(tmp_path):
     assert run(["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "g"]) == 0
     manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
     assert "scheme" not in manifest["config"]
+
+
+def test_command_usage_error_prints_command_usage(tmp_path, capsys):
+    # GraphField rejects --L 0: once after numpy warned of 0 / 0 in x / L,
+    # and with the usage line of sdflow rather than of flow-graph
+    assert run(["flow-graph", "--L", 0, "--out", tmp_path / "out"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdflow flow-graph ")
+    assert "flow-graph: error: domain_length must be positive" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flow_curve_input_is_resampled_to_equal_arcs(tmp_path):
