@@ -2,10 +2,10 @@
 
 Commands: shoot, sweep, verify, flow-graph, flow-curve.  Configuration
 comes from plain key=value files (--config) with command-line flags
-taking precedence; every JSON report embeds the effective configuration
+taking precedence; every JSON file embeds the effective configuration
 and the package version, carries no timestamps, and serializes floats
-at shortest round-trip precision, so identical runs produce identical
-bytes.
+at shortest round-trip precision with signed zeros as 0.0, so identical
+runs produce identical bytes.
 
 Exit codes: 0 certified or passed, 2 inconclusive, 1 runtime error,
 64 usage error, 65 parse error.
@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import GraphField
-from .graphpde import FlowConfig, evolve
+from .geometry import GraphField, _unsigned_zeros
+from .graphpde import FlowConfig, FlowDivergedError, GraphicalityLostError, evolve
 from .identities import (
     IdentityReport,
     convexity_residual_m,
@@ -118,12 +118,46 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
+# The flags each command echoes as "config" in its JSON files.  sweep leaves
+# out --workers, which is execution infrastructure, not experiment identity:
+# its reports stay byte-identical for any worker count.
+_CONFIG_KEYS = {
+    "shoot": ("kind", "a", "b", "init", "random", "seed", "count",
+              "budget", "abs_tol", "rel_tol", "sample_h"),
+    "sweep": ("kind", "a", "b", "seed", "count", "budget", "abs_tol", "rel_tol"),
+    "verify": ("trajectories",),
+    "flow-graph": ("n", "L", "A", "eps", "dt", "t_end", "frames"),
+    "flow-curve": ("seed_shape", "input", "n", "kappa", "major", "minor", "dt", "t_end", "frames"),
+}
+
+
+def _write_json(path: Path, args, payload: dict) -> None:
+    """``payload`` with the package version and the command's config echo,
+    keys sorted and signed zeros written 0.0."""
+    config = {key: getattr(args, key) for key in _CONFIG_KEYS[args.command]}
+    payload = _unsigned_zeros({**payload, "config": config, "version": __version__})
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _effective_config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _write_reports(out: Path, args, reports, trajectories: bool) -> dict:
+    """Each report's JSON and, if ``trajectories``, its stored pair; returns
+    the outcome counts.
+
+    With trajectories (shoot) the names are report.json, trajectory_fwd.csv
+    and trajectory_bwd.csv, tagged _000, _001, ... when there are several
+    reports; without (sweep) they are run_000.json, run_001.json, ...
+    """
+    counts = {"trivial": 0, "breakdown": 0, "inconclusive": 0}
+    for i, report in enumerate(reports):
+        counts[report.outcome] += 1
+        if not trajectories:
+            _write_json(out / f"run_{i:03d}.json", args, report.to_dict())
+            continue
+        tag = f"_{i:03d}" if len(reports) > 1 else ""
+        _write_json(out / f"report{tag}.json", args, report.to_dict())
+        (out / f"trajectory{tag}_fwd.csv").write_text(report.forward.to_csv())
+        (out / f"trajectory{tag}_bwd.csv").write_text(report.backward.to_csv())
+    return counts
 
 
 def _kind_from_args(parser, args) -> SolitonKind:
@@ -149,10 +183,6 @@ def _parse_init(parser, text: str) -> ProfileState:
 def _cmd_shoot(parser, args) -> int:
     kind = _kind_from_args(parser, args)
     opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol, sample_h=args.sample_h)
-    config_keys = ["kind", "a", "b", "init", "random", "seed", "count",
-                   "budget", "abs_tol", "rel_tol", "sample_h"]
-    config = _effective_config(args, config_keys)
-
     if args.random:
         inits = seeded_initial_states(args.seed, 0, args.count)
         reports = shoot_batch(kind, inits, args.budget, opts, seed=args.seed)
@@ -161,25 +191,12 @@ def _cmd_shoot(parser, args) -> int:
             parser.error("either --init or --random is required")
         reports = [shoot_bidirectional(kind, _parse_init(parser, args.init), args.budget, opts)]
 
-    out = _out_dir(args)
-    worst = 0
-    counts = {"trivial": 0, "breakdown": 0, "inconclusive": 0}
-    for i, report in enumerate(reports):
-        counts[report.outcome] += 1
-        tag = f"_{i:03d}" if len(reports) > 1 else ""
-        payload = report.to_dict()
-        payload["config"] = config
-        payload["version"] = __version__
-        _write_json(out / f"report{tag}.json", payload)
-        (out / f"trajectory{tag}_fwd.csv").write_text(report.forward.to_csv())
-        (out / f"trajectory{tag}_bwd.csv").write_text(report.backward.to_csv())
-        if report.outcome == "inconclusive":
-            worst = 2
+    counts = _write_reports(_out_dir(args), args, reports, trajectories=True)
     print(
         f"shoot {kind.name}: {counts['trivial']} trivial, "
         f"{counts['breakdown']} breakdown, {counts['inconclusive']} inconclusive"
     )
-    return worst
+    return 2 if counts["inconclusive"] else 0
 
 
 def _cmd_sweep(parser, args) -> int:
@@ -187,22 +204,8 @@ def _cmd_sweep(parser, args) -> int:
     opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     out = _out_dir(args)
     reports = run_sweep(kind, args.count, args.seed, args.budget, opts, workers=args.workers)
-    # workers is execution infrastructure, not experiment identity: per-run
-    # reports stay byte-identical for any worker count
-    config = _effective_config(
-        args, ["kind", "a", "b", "seed", "count", "budget", "abs_tol", "rel_tol"]
-    )
-    counts = {"trivial": 0, "breakdown": 0, "inconclusive": 0}
-    for i, report in enumerate(reports):
-        counts[report.outcome] += 1
-        payload = report.to_dict()
-        payload["config"] = config
-        payload["version"] = __version__
-        _write_json(out / f"run_{i:03d}.json", payload)
-    _write_json(
-        out / "summary.json",
-        {"config": config, "version": __version__, "counts": counts},
-    )
+    counts = _write_reports(out, args, reports, trajectories=False)
+    _write_json(out / "summary.json", args, {"counts": counts})
     print(f"sweep {kind.name}: {counts}")
     return 2 if counts["inconclusive"] else 0
 
@@ -254,12 +257,7 @@ def _cmd_verify(parser, args) -> int:
             print(f"verify: {name}: {exc}", file=sys.stderr)
             return PARSE_ERROR
         bundle.append({"file": name, "checks": reports})
-    payload = {
-        "version": __version__,
-        "config": {"trajectories": list(args.trajectories)},
-        "reports": bundle,
-    }
-    _write_json(out / "verify.json", payload)
+    _write_json(out / "verify.json", args, {"reports": bundle})
     ok = all(chk["pass"] for entry in bundle for chk in entry["checks"])
     for entry in bundle:
         for chk in entry["checks"]:
@@ -268,11 +266,25 @@ def _cmd_verify(parser, args) -> int:
     return 0 if ok else 1
 
 
-def _emit_plot_data(path: Path, rows) -> None:
-    with path.open("w") as fh:
-        fh.write("t,series,value\n")
-        for t, series, value in rows:
-            fh.write(f"{float(t)!r},{series},{float(value)!r}\n")
+def _write_frames(out: Path, args, prefix: str, frames, entry, payload: dict) -> None:
+    """The frame CSVs <prefix>_000.csv, ..., manifest.json and, with
+    --emit-plot-data, plot_data.csv.
+
+    ``frames`` holds (t, shape, monitors); ``entry(t, file, monitors)`` is a
+    frame's manifest entry, and ``payload`` the rest of the manifest.
+    """
+    manifest, plot_rows = [], []
+    for i, (t, shape, mon) in enumerate(frames):
+        name = f"{prefix}_{i:03d}.csv"
+        (out / name).write_text(shape.to_csv())
+        monitors = mon.to_dict()
+        manifest.append(entry(t, name, monitors))
+        # a graph frame's monitors repeat its t, which the t column holds
+        plot_rows += [(t, key, val) for key, val in monitors.items() if key != "t"]
+    _write_json(out / "manifest.json", args, {**payload, "frames": manifest})
+    if args.emit_plot_data:
+        rows = (f"{float(t)!r},{series},{float(val)!r}\n" for t, series, val in plot_rows)
+        (out / "plot_data.csv").write_text("t,series,value\n" + "".join(rows))
 
 
 def _graph_inputs(parser, args):
@@ -289,21 +301,9 @@ def _graph_inputs(parser, args):
 
 def _cmd_flow_graph(parser, args) -> int:
     f, cfg = _graph_inputs(parser, args)
-    out = _out_dir(args)
     final, series = evolve(f, cfg, frames=args.frames)
-    manifest = []
-    plot_rows = []
-    for i, (t, field, mon) in enumerate(series):
-        fname = f"graph_{i:03d}.csv"
-        (out / fname).write_text(field.to_csv())
-        manifest.append({"t": t, "frame_file": fname, "monitors": mon.to_dict()})
-        for key, val in mon.to_dict().items():
-            if key != "t":
-                plot_rows.append((t, key, val))
-    config = _effective_config(args, ["n", "L", "A", "eps", "dt", "t_end", "frames"])
-    _write_json(out / "manifest.json", {"version": __version__, "config": config, "frames": manifest})
-    if args.emit_plot_data:
-        _emit_plot_data(out / "plot_data.csv", plot_rows)
+    _write_frames(_out_dir(args), args, "graph", series,
+                  lambda t, name, mon: {"t": t, "frame_file": name, "monitors": mon}, {})
     print(f"flow-graph: {len(series)} frames, final max|w| = {np.max(np.abs(final.values)):.3e}")
     return 0
 
@@ -332,34 +332,10 @@ def _seed_curve(parser, args) -> curveflow.ClosedCurve:
 
 def _cmd_flow_curve(parser, args) -> int:
     curve = _seed_curve(parser, args)
-    out = _out_dir(args)
-    result = curveflow.flow(
-        curve,
-        dt=args.dt,
-        t_end=args.t_end,
-        frames=args.frames,
-    )
-    manifest = []
-    plot_rows = []
-    for i, (t, c, mon) in enumerate(result.frames):
-        fname = f"curve_{i:03d}.csv"
-        (out / fname).write_text(c.to_csv())
-        manifest.append({"t": t, "file": fname, **mon.to_dict()})
-        for key, val in mon.to_dict().items():
-            plot_rows.append((t, key, val))
-    config = _effective_config(
-        args,
-        ["seed_shape", "input", "n", "kappa", "major", "minor", "dt", "t_end", "frames"],
-    )
-    payload = {
-        "version": __version__,
-        "config": config,
-        "outcome": asdict(result.outcome),
-        "frames": manifest,
-    }
-    _write_json(out / "manifest.json", payload)
-    if args.emit_plot_data:
-        _emit_plot_data(out / "plot_data.csv", plot_rows)
+    result = curveflow.flow(curve, dt=args.dt, t_end=args.t_end, frames=args.frames)
+    _write_frames(_out_dir(args), args, "curve", result.frames,
+                  lambda t, name, mon: {"t": t, "file": name, **mon},
+                  {"outcome": asdict(result.outcome)})
     print(f"flow-curve: outcome {result.outcome.kind}, t_ext {result.outcome.t_ext}")
     return 0 if result.outcome.kind != "failed" else 1
 
@@ -462,7 +438,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](commands[args.command], args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FlowDivergedError, GraphicalityLostError) as exc:
         print(f"sdflow: error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,8 @@ the background A*x enters only through its (periodic) derivatives.
 
 ``_write_csv`` and ``_read_csv`` are the one CSV codec of the package:
 graph frames, trajectories and curve frames are each a header and float
-columns written and read through them.
+columns written and read through them.  ``_unsigned_zeros`` writes
+signed zeros as 0.0, for the codec and the command line's JSON files.
 """
 
 from __future__ import annotations
@@ -24,14 +25,27 @@ __all__ = [
 ]
 
 
+def _unsigned_zeros(value):
+    """``value`` with each float in it, in nested dicts and lists too, plus 0.0:
+    -0.0 becomes 0.0 and every other float is unchanged."""
+    if isinstance(value, float):
+        return value + 0.0
+    if isinstance(value, dict):
+        return {key: _unsigned_zeros(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_unsigned_zeros(item) for item in value]
+    return value
+
+
 def _write_csv(header: str, columns, meta=None) -> str:
     """CSV text of equal-length float ``columns`` under ``header``.
 
     Optional ``# key=value`` lines of ``meta`` come first.  Each value is
     written at shortest round-trip precision, with signed zeros as 0.0,
-    so equal data serialize to equal bytes.
+    in the metadata and the rows alike, so equal data serialize to equal
+    bytes.
     """
-    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines = [f"# {key}={value}" for key, value in _unsigned_zeros(meta or {}).items()]
     values = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
     # one %-format over every row: %r is repr, and faster than a join per row
     row = ",".join(["%r"] * values.shape[1])

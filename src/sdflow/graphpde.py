@@ -3,9 +3,14 @@
 The flow of u(x,t) = A x + w(x,t) is advanced on the periodic cell in
 the perturbation w by one semi-implicit scheme.  It splits off the
 dominant linear part: the fourth derivative (its centered-difference
-symbol, applied in Fourier space) is treated implicitly and the full
-nonlinear right-hand side minus that part explicitly, which is first
-order in time and keeps every linear graph an exact fixed point.
+symbol m, applied in Fourier space) is treated implicitly and the full
+nonlinear right-hand side minus that part explicitly.  The two parts
+combine into one Fourier update of w by the operator output F(w),
+
+    w_new = w + irfft(dt rfft(F(w)) / (1 + dt m)),
+
+which is first order in time.  Where F(w) is exactly zero, as on every
+linear graph, w is left exactly unchanged.
 """
 
 from __future__ import annotations
@@ -98,10 +103,8 @@ def _fourth_symbol(n: int, dx: float) -> np.ndarray:
 def step(f: GraphField, cfg: FlowConfig) -> GraphField:
     """Advance the field by one time step of cfg.dt."""
     m = _fourth_symbol(f.n, f.dx)
-    w = f.values
-    wh = np.fft.rfft(w)
-    nonlinear = surface_diffusion_operator(f).values + np.fft.irfft(m * wh, f.n)
-    out = np.fft.irfft((wh + cfg.dt * np.fft.rfft(nonlinear)) / (1.0 + cfg.dt * m), f.n)
+    update = np.fft.rfft(surface_diffusion_operator(f).values) * (cfg.dt / (1.0 + cfg.dt * m))
+    out = f.values + np.fft.irfft(update, f.n)
     if not np.all(np.isfinite(out)):
         raise FlowDivergedError("non-finite field after step")
     return f.with_values(out)
@@ -125,16 +128,16 @@ def evolve(
 ) -> Tuple[GraphField, List[Tuple[float, GraphField, FrameMonitors]]]:
     """Run the flow to cfg.t_end, reporting monitors on a frame grid.
 
-    Frames are at j * t_end / frames; the stepper lands on each frame
-    time exactly (the last step into a frame is shortened).  Returns the
-    final field and the list of (t, field, monitors) frames.
+    Frames are at j * t_end / frames, from j = 0; the stepper lands on
+    each frame time exactly (the last step into a frame is shortened).
+    Returns the final field and the list of (t, field, monitors) frames.
+    Raises GraphicalityLostError at the first frame, t = 0 included,
+    whose slope reaches cfg.slope_ceiling.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
-    series = [(0.0, f, _monitors(f, 0.0))]
-    if cfg.t_end == 0.0:
-        return f, series
-    frame_times = [cfg.t_end * (j + 1) / frames for j in range(frames)]
+    frame_times = [cfg.t_end * j / frames for j in range(frames + 1)] if cfg.t_end else [0.0]
+    series = []
     t = 0.0
     cur = f
     for tf in frame_times:

@@ -52,6 +52,41 @@ def test_shoot_inconclusive_exit_two(tmp_path):
     assert code == 2
 
 
+def _names(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+def test_report_writer_file_names(tmp_path):
+    # shoot and sweep write their reports through one writer; only shoot
+    # stores trajectories, and shoot tags its names only for several reports
+    single = ["report.json", "trajectory_bwd.csv", "trajectory_fwd.csv"]
+    base = ["shoot", "selfsimilar", "--budget", 5, "--seed", 4]
+    assert run(base + ["--init", "0.3,0.2,0.4,0.1", "--out", tmp_path / "init"]) == 0
+    assert _names(tmp_path / "init") == single
+    assert run(base + ["--random", "--count", 1, "--out", tmp_path / "one"]) == 0
+    assert _names(tmp_path / "one") == single
+    assert run(base + ["--random", "--count", 2, "--out", tmp_path / "two"]) == 0
+    assert _names(tmp_path / "two") == [
+        "report_000.json", "report_001.json",
+        "trajectory_000_bwd.csv", "trajectory_000_fwd.csv",
+        "trajectory_001_bwd.csv", "trajectory_001_fwd.csv",
+    ]
+    assert run(["sweep", "steady", "--count", 2, "--seed", 4, "--out", tmp_path / "sweep"]) == 0
+    assert _names(tmp_path / "sweep") == ["run_000.json", "run_001.json", "summary.json"]
+
+
+def test_signed_zero_direction_writes_the_same_bytes(tmp_path):
+    # -0 and 0 are one travelling direction: "# a=" lines and JSON alike write 0.0
+    for a in ("-0", "0"):
+        assert run(["shoot", "travelling", "--a", a, "--b", 1, "--init", "0,1,0,0",
+                    "--budget", 5, "--out", tmp_path / a]) == 0
+    names = _names(tmp_path / "0")
+    assert _names(tmp_path / "-0") == names
+    for name in names:
+        assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+    assert "# a=0.0\n" in (tmp_path / "0" / "trajectory_fwd.csv").read_text()
+
+
 @pytest.mark.parametrize("args", [
     ["shoot", "steady", "--init", "0,1,0,0", "--abs-tol", "nan"],
     ["shoot", "steady", "--init", "0,1,0,0", "--budget", "nan"],
@@ -288,6 +323,18 @@ def test_flow_graph_emit_plot_data(tmp_path):
     lines = (tmp_path / "plot_data.csv").read_text().splitlines()
     assert lines[0] == "t,series,value"
     assert len(lines) > 6
+
+
+def test_flow_graph_runtime_failure_exit_one(tmp_path, capsys):
+    # the input's slope is near 1e7 at t = 0, above the 1e6 ceiling
+    code = run(["flow-graph", "--n", 64, "--eps", "1e7", "--dt", 0.01, "--t-end", 0.1,
+                "--frames", 2, "--out", tmp_path / "out"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert "exceeds the ceiling" in err and "t=0.0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flow_curve_circle_monitors_flat(tmp_path):

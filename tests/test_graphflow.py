@@ -148,6 +148,25 @@ def test_graphicality_abort():
         evolve(f, cfg, frames=4)
 
 
+@pytest.mark.parametrize("t_end", [0.0, 0.1])
+def test_graphicality_abort_at_t_zero(t_end):
+    # input already above the ceiling fails at frame 0, before any step
+    cfg = FlowConfig(dt=0.01, t_end=t_end, slope_ceiling=1.5)
+    with pytest.raises(GraphicalityLostError) as info:
+        evolve(sine_field(64, eps=2.0), cfg, frames=4)
+    assert info.value.t == 0.0
+
+
+def test_step_leaves_zero_operator_fields_exactly():
+    # a constant shift of a line and a checkerboard have operator output
+    # exactly 0, so the Fourier update leaves them bit for bit unchanged
+    cfg = FlowConfig(dt=0.01, t_end=1.0)
+    checker = 1e-3 * (-1.0) ** np.arange(64)
+    for A, w in ((1.0, np.full(64, 0.7)), (0.0, checker), (1.0, checker)):
+        f = GraphField(L, A, w)
+        assert np.array_equal(step(f, cfg).values, w)
+
+
 @pytest.mark.parametrize("frames", [0, -1])
 def test_evolve_needs_a_frame(frames):
     with pytest.raises(ValueError):
