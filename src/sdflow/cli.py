@@ -202,8 +202,8 @@ def _cmd_shoot(parser, args) -> int:
 def _cmd_sweep(parser, args) -> int:
     kind = _kind_from_args(parser, args)
     opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    out = _out_dir(args)
     reports = run_sweep(kind, args.count, args.seed, args.budget, opts, workers=args.workers)
+    out = _out_dir(args)
     counts = _write_reports(out, args, reports, trajectories=False)
     _write_json(out / "summary.json", args, {"counts": counts})
     print(f"sweep {kind.name}: {counts}")
@@ -247,7 +247,6 @@ def _verify_one(path: Path) -> list:
 
 
 def _cmd_verify(parser, args) -> int:
-    out = _out_dir(args)
     bundle = []
     for name in args.trajectories:
         path = Path(name)
@@ -257,7 +256,7 @@ def _cmd_verify(parser, args) -> int:
             print(f"verify: {name}: {exc}", file=sys.stderr)
             return PARSE_ERROR
         bundle.append({"file": name, "checks": reports})
-    _write_json(out / "verify.json", args, {"reports": bundle})
+    _write_json(_out_dir(args) / "verify.json", args, {"reports": bundle})
     ok = all(chk["pass"] for entry in bundle for chk in entry["checks"])
     for entry in bundle:
         for chk in entry["checks"]:

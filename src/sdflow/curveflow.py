@@ -25,6 +25,7 @@ sdflow for shooting or the graph flow does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
@@ -83,7 +84,7 @@ class ClosedCurve:
         return ClosedCurve(_read_csv(text, "x,y")[1])
 
     def length(self) -> float:
-        return float(np.sum(_edge_arcs(self.points)[0]))
+        return float(np.sum(_edge_arcs(self.points)[1]))
 
     def signed_area(self) -> float:
         x, y = self.points[:, 0], self.points[:, 1]
@@ -168,15 +169,21 @@ def _arcs_and_curvature(chord: np.ndarray, turning: np.ndarray):
     return arcs, turning[1:-1] / (0.5 * (arcs[:-1] + arcs[1:]))
 
 
+def _chords(points: np.ndarray):
+    """Edges and lengths of a closed polyline, row j + 1 from vertex j to j+1, row 0 as row n."""
+    edges = np.diff(np.concatenate([points[-1:], points, points[:1]]), axis=0)
+    return edges, np.hypot(edges[:, 0], edges[:, 1])
+
+
 def _edge_arcs(points: np.ndarray):
-    """(arcs, chords, curvature) of a closed polyline; arcs[i] joins vertex i and i+1."""
-    edges = np.roll(points, -1, axis=0) - points
-    chord = np.hypot(edges[:, 0], edges[:, 1])
-    dth = _turning(np.roll(edges, 1, axis=0), edges)  # turning at vertex i
+    """(curvature, arcs) of a closed polyline; arcs[i] joins vertex i and i+1."""
+    edges, chord = _chords(points)
+    if np.any(chord == 0.0):
+        raise ValueError("degenerate edge")
+    dth = _turning(edges[:-1], edges[1:])  # turning at vertex i
     # read as an open polyline that starts with edge n-1, so vertex 0 has two edges
-    arcs, kappa = _arcs_and_curvature(np.append(chord[-1], chord),
-                                      np.concatenate([dth[-1:], dth, dth[:1]]))
-    return arcs[1:], chord, kappa
+    arcs, kappa = _arcs_and_curvature(chord, np.concatenate([dth[-1:], dth, dth[:1]]))
+    return kappa, arcs[1:]
 
 
 def _normals(points: np.ndarray) -> np.ndarray:
@@ -193,10 +200,7 @@ def curvature_profile(c: ClosedCurve):
     convention follows the leftward normal of the traversal direction
     (counterclockwise circles have positive curvature).
     """
-    arcs, chord, kappa = _edge_arcs(c.points)
-    if np.any(chord == 0.0):
-        raise ValueError("degenerate edge")
-    return kappa, _normals(c.points)
+    return _edge_arcs(c.points)[0], _normals(c.points)
 
 
 def _second_difference(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -213,10 +217,7 @@ def _second_arc_derivative(f: np.ndarray, arcs: np.ndarray) -> np.ndarray:
 
 def normal_velocity(c: ClosedCurve) -> np.ndarray:
     """Normal speed -d^2 kappa / ds^2 at every vertex."""
-    arcs, chord, kappa = _edge_arcs(c.points)
-    if np.any(chord == 0.0):
-        raise ValueError("degenerate edge")
-    return -_second_arc_derivative(kappa, arcs)
+    return -_second_arc_derivative(*_edge_arcs(c.points))
 
 
 def open_curvature_profile(points: np.ndarray):
@@ -335,7 +336,22 @@ def seed_clothoid(s_max: float, n: int) -> OpenArc:
 # time stepping
 # --------------------------------------------------------------------------
 
-def _bgn_step(pts: np.ndarray, dt: float):
+@functools.lru_cache(maxsize=8)
+def _bgn_layout(n: int):
+    """Read-only index arrays of a BGN step on n vertices, and dgbsv.  The band
+    is gbsv storage, (19, 3n) in Fortran order: entry (i, j) at flat 18 j + i + 12."""
+    from scipy.linalg import get_lapack_funcs
+    zigzag = np.minimum(np.arange(0, 2 * n, 2), np.arange(2 * n - 1, 0, -2))  # place of v
+    i = 3 * zigzag + np.arange(3)[:, None]  # the unknowns kappa_v, x_v, y_v, by component
+    j, (k, x, y) = np.roll(i, -1, axis=1), i  # those of v + 1, and each row of i
+    entries = [(i, i), (i, j), (j, i), (k, x), (k, y), (x, k), (y, k)]  # (row, col) of vals
+    pos = np.concatenate([(18 * col + row + 12).ravel() for row, col in entries])
+    xy = i[1:].T.ravel()  # the position unknowns, (x_v, y_v) vertex by vertex
+    pos.flags.writeable = k.flags.writeable = xy.flags.writeable = False
+    return pos, k, xy, get_lapack_funcs("gbsv", dtype=np.float64)
+
+
+def _bgn_step(pts: np.ndarray, dt: float, chords=None):
     """One BGN step of a closed polygon: (vertex curvature, new vertices).
 
     With mass lumping, the weighted vertex normal N_j = rot(q_{j+1} - q_{j-1}) / 2
@@ -349,33 +365,27 @@ def _bgn_step(pts: np.ndarray, dt: float):
     unknowns are interleaved per vertex as (kappa_j, x_j, y_j), with the
     vertices in zig-zag order 0, n-1, 1, n-2, ...: each cycle neighbour
     is at most two places away, so the system is (6, 6)-banded with no
-    periodic corners.
+    periodic corners.  ``chords`` is ``_chords(pts)``, if the caller has it.
     """
-    from scipy.linalg import solve_banded
-
     n = pts.shape[0]
-    edges = np.roll(pts, -1, axis=0) - pts
-    inv = 1.0 / np.hypot(edges[:, 0], edges[:, 1])  # 1/l_j, edge j joins vertex j and j+1
-    span = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    nx, ny = -0.5 * span[:, 1], 0.5 * span[:, 0]
-
-    v = np.arange(n)
-    idx = 3 * np.minimum(2 * v, 2 * (n - v) - 1)[:, None] + np.arange(3)  # (kappa_v, x_v, y_v)
-    nxt = np.roll(idx, -1, axis=0)  # the unknowns of vertex v + 1
-    sign = np.array([-1.0, 1.0, 1.0])  # kappa rows carry -A, position rows +A
-    ab = np.zeros((13, 3 * n))  # ab[6 + i - j, j] holds entry (i, j)
-    ab[6, idx] = sign * (inv + np.roll(inv, 1))[:, None]
-    ab[6 + idx - nxt, nxt] = -sign * inv[:, None]
-    ab[6 + nxt - idx, idx] = -sign * inv[:, None]
-    ab[5, idx[:, 1]], ab[4, idx[:, 2]] = nx / dt, ny / dt
-    ab[7, idx[:, 0]], ab[8, idx[:, 0]] = nx, ny
-
+    pos, kappa_pos, xy_pos, gbsv = _bgn_layout(n)
+    edges, chord = _chords(pts) if chords is None else chords
+    inv = 1.0 / chord  # 1/l_j is inv[j + 1]
+    ext = np.concatenate([pts[-1:], pts, pts[:1]])
+    span = ext[2:] - ext[:-2]
+    nx, ny, d, off = -0.5 * span[:, 1], 0.5 * span[:, 0], inv[1:] + inv[:-1], inv[1:]
+    # the band values, in the order of pos: kappa rows carry -A, position rows +A
+    vals = np.concatenate([-d, d, d, off, -off, -off, off, -off, -off, nx / dt, ny / dt, nx, ny])
     # -A X, the jumps of the unit tangent, is the right-hand side of the position rows
-    tangent = edges * inv[:, None]
-    rhs = np.zeros(3 * n)
-    rhs[idx[:, 1:]] = tangent - np.roll(tangent, 1, axis=0)
-    x = solve_banded((6, 6), ab, rhs)
-    return x[idx[:, 0]], pts + x[idx[:, 1:]]
+    jump = np.diff(edges * inv[:, None], axis=0)
+    if not (np.isfinite(vals).all() and np.isfinite(jump).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ab, rhs = np.zeros((3 * n, 19)), np.zeros(3 * n)  # ab.T is the gbsv storage
+    ab.reshape(-1)[pos], rhs[xy_pos] = vals, jump.ravel()  # ab through its flat view
+    _, _, x, info = gbsv(6, 6, ab.T, rhs, overwrite_ab=True, overwrite_b=True)
+    if info:
+        raise np.linalg.LinAlgError("singular matrix") if info > 0 else ValueError("bad gbsv call")
+    return x[kappa_pos], pts + x[xy_pos].reshape(n, 2)
 
 
 def flow(
@@ -419,11 +429,11 @@ def flow(
     pts = c.points
     for tf in frame_times:
         while t < tf - 1e-15 * t_end:
-            edges = np.roll(pts, -1, axis=0) - pts
-            if np.min(np.hypot(edges[:, 0], edges[:, 1])) < min_edge:
+            chords = _chords(pts)  # shared by the collapse test and the step
+            if np.min(chords[1]) < min_edge:
                 return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
             dt_n = min(dt, tf - t)
-            _, pts = _bgn_step(pts, dt_n)
+            _, pts = _bgn_step(pts, dt_n, chords)
             t += dt_n
             if not np.all(np.isfinite(pts)):
                 return FlowResult(frames_out, FlowOutcome("failed", reason="non-finite"))

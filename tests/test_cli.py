@@ -217,6 +217,13 @@ def test_verify_non_finite_field_parse_error(tmp_path):
     assert not (tmp_path / "v" / "verify.json").exists()
 
 
+def test_verify_parse_error_makes_no_output_directory(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1.0,2.0\n")  # no header line
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
+    assert not (tmp_path / "v").exists()
+
+
 def test_sweep_summary_and_reproducibility(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["sweep", "steady", "--count", 4, "--seed", 3, "--out", a]) == 0

@@ -6,10 +6,13 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from sdflow.curveflow import (
     ClosedCurve,
+    _bgn_layout,
     _bgn_step,
+    _chords,
     curvature_profile,
     flow,
     hausdorff_distance,
@@ -361,6 +364,68 @@ def test_step_never_increases_polygon_length(n, seed, wobble, log_dt):
     pts = random_star(n, seed, wobble)
     _, new = _bgn_step(pts, 10.0**log_dt)
     assert polygon_length(new) <= polygon_length(pts) * (1.0 + 1e-12)
+
+
+def reference_bgn_step(pts, dt):
+    """The BGN step assembled as a (13, 3n) band for solve_banded: the
+    reference for the step's cached layout and direct gbsv call."""
+    n = pts.shape[0]
+    edges = np.roll(pts, -1, axis=0) - pts
+    inv = 1.0 / np.hypot(edges[:, 0], edges[:, 1])  # 1/l_j, edge j joins vertex j and j+1
+    span = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    nx, ny = -0.5 * span[:, 1], 0.5 * span[:, 0]
+
+    v = np.arange(n)
+    idx = 3 * np.minimum(2 * v, 2 * (n - v) - 1)[:, None] + np.arange(3)  # (kappa_v, x_v, y_v)
+    nxt = np.roll(idx, -1, axis=0)  # the unknowns of vertex v + 1
+    sign = np.array([-1.0, 1.0, 1.0])  # kappa rows carry -A, position rows +A
+    ab = np.zeros((13, 3 * n))  # ab[6 + i - j, j] holds entry (i, j)
+    ab[6, idx] = sign * (inv + np.roll(inv, 1))[:, None]
+    ab[6 + idx - nxt, nxt] = -sign * inv[:, None]
+    ab[6 + nxt - idx, idx] = -sign * inv[:, None]
+    ab[5, idx[:, 1]], ab[4, idx[:, 2]] = nx / dt, ny / dt
+    ab[7, idx[:, 0]], ab[8, idx[:, 0]] = nx, ny
+
+    tangent = edges * inv[:, None]
+    rhs = np.zeros(3 * n)
+    rhs[idx[:, 1:]] = tangent - np.roll(tangent, 1, axis=0)
+    x = solve_banded((6, 6), ab, rhs)
+    return x[idx[:, 0]], pts + x[idx[:, 1:]]
+
+
+def assert_same_step(pts, dt, chords=None):
+    kappa, new = _bgn_step(pts, dt, chords)
+    ref_kappa, ref_new = reference_bgn_step(pts, dt)
+    assert np.array_equal(kappa, ref_kappa)
+    assert np.array_equal(new, ref_new)
+    return new
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1), wobble=st.floats(0.0, 0.9),
+       log_dt=st.floats(-6.0, -1.0))
+@example(n=17, seed=0, wobble=0.5, log_dt=-3.0)
+def test_step_matches_reference_bit_for_bit(n, seed, wobble, log_dt):
+    pts = random_star(n, seed, wobble)
+    assert_same_step(pts, 10.0**log_dt)
+    assert_same_step(pts, 10.0**log_dt, _chords(pts))
+
+
+def test_step_reuses_the_layout_across_sizes():
+    # two sizes stepped in turn, so each step after the first finds its layout cached
+    polys = {n: random_star(n, seed=n, wobble=0.3) for n in (57, 96)}
+    for _ in range(4):
+        for n, pts in polys.items():
+            polys[n] = assert_same_step(pts, 1e-3, _chords(pts))
+    for layout in (_bgn_layout(57), _bgn_layout(96)):
+        assert not any(a.flags.writeable for a in layout[:-1])
+
+
+def test_step_rejects_a_non_finite_vertex():
+    pts = random_star(64, seed=1, wobble=0.3)
+    pts[5] = np.nan
+    with pytest.raises(ValueError):
+        _bgn_step(pts, 1e-3)
 
 
 @pytest.mark.parametrize("n", [16, 64, 300])

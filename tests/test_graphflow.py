@@ -35,6 +35,14 @@ def rk4_step(f, dt):
     return f.with_values(w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
+def test_step_with_overflowing_operator_raises_flow_diverged():
+    # the operator output of these values overflows to non-finite numbers
+    w = np.zeros(16)
+    w[3:6] = [1.7e308, -1.7e308, 1.7e308]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FlowDivergedError):
+        step(GraphField(L, 0.0, w), FlowConfig(dt=1e-3, t_end=1.0))
+
+
 def sine_field(n=256, eps=1e-3, A=0.0, mode=1):
     x = np.arange(n) * L / n
     return GraphField(L, A, eps * np.sin(mode * 2.0 * math.pi * x / L))
