@@ -16,7 +16,6 @@ from .soliton import (
     SolitonKind,
     Trajectory,
     integrate,
-    redundant_derivative_check,
     run_sweep,
     sample_initial_state,
     seeded_initial_states,
@@ -27,13 +26,13 @@ from .soliton import (
 from .identities import (
     IdentityReport,
     QParams,
-    cauchy_schwarz_check,
     convexity_residual_m,
     convexity_residual_q,
     m_value,
     q_paper_constants,
     q_upper_bound_residual,
     q_value,
+    reduction_residual,
     steady_first_integral_residuals,
     tangential_identity_residual,
 )
@@ -43,7 +42,6 @@ from .curveflow import (
     CurveMonitors,
     FlowOutcome,
     FlowResult,
-    OpenArc,
     curvature_profile,
     flow,
     hausdorff_distance,

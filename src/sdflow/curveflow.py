@@ -1,12 +1,14 @@
 """Curve diffusion flow for immersed closed polylines.
 
-Curve diffusion moves a curve with normal speed -kappa_ss.  On a
-polyline, ``curvature_profile`` and ``normal_velocity`` evaluate it with
-the turning angle between consecutive chords divided by the
-arc-corrected vertex spacing; the chord-to-arc correction
+Curve diffusion moves a curve with normal speed -kappa_ss.  On an open
+polyline, ``open_curvature_profile`` and ``open_normal_velocity``
+evaluate it with the turning angle between consecutive chords divided
+by the arc-corrected vertex spacing; the chord-to-arc correction
 (1 + turning^2/24) removes the leading curvature-cubed sampling bias, so
 straight lines, circles and clothoids are equilibria of these stencils
-to high order.  The monitors use them too.
+to high order.  A closed polyline is evaluated by the same stencils on
+the polygon wrapped by a few vertices at each end (``curvature_profile``,
+``normal_velocity``, ``ClosedCurve.length``).  The monitors use them too.
 
 ``flow`` steps by the parametric scheme of Barrett, Garcke & Nuernberg
 (J. Comput. Phys. 222 (2007)): each step is one banded solve, with no
@@ -32,11 +34,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .geometry import _read_csv, _write_csv
+from .geometry import _read_csv, _steps_to, _write_csv
 
 __all__ = [
     "ClosedCurve",
-    "OpenArc",
     "CurveMonitors",
     "FlowOutcome",
     "FlowResult",
@@ -84,7 +85,7 @@ class ClosedCurve:
         return ClosedCurve(_read_csv(text, "x,y")[1])
 
     def length(self) -> float:
-        return float(np.sum(_edge_arcs(self.points)[1]))
+        return float(np.sum(open_curvature_profile(_wrapped(self.points, 2))[1][2:-1]))
 
     def signed_area(self) -> float:
         x, y = self.points[:, 0], self.points[:, 1]
@@ -98,14 +99,6 @@ class ClosedCurve:
         for i in range(0, p.shape[0], 64):
             best = max(best, float(np.max(_squared_distances(p[i : i + 64], p[i:]))))
         return math.sqrt(best)
-
-
-@dataclass(frozen=True)
-class OpenArc:
-    """Open sampled arc with its arc-length positions."""
-
-    points: np.ndarray
-    s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,33 +150,10 @@ def _turning(e_prev: np.ndarray, e_next: np.ndarray) -> np.ndarray:
     return np.arctan2(cross, dot)
 
 
-def _arcs_and_curvature(chord: np.ndarray, turning: np.ndarray):
-    """Arc-corrected edge lengths, and the curvature where two edges meet.
-
-    turning[i], turning[i+1] are the turnings at the ends of edge i; the
-    chord gets the circular-arc correction (1 + w^2/24) with w their mean,
-    and each inner turning is divided by the mean arc of its two edges.
-    """
-    w = 0.5 * (turning[:-1] + turning[1:])
-    arcs = chord * (1.0 + w * w / 24.0)
-    return arcs, turning[1:-1] / (0.5 * (arcs[:-1] + arcs[1:]))
-
-
 def _chords(points: np.ndarray):
     """Edges and lengths of a closed polyline, row j + 1 from vertex j to j+1, row 0 as row n."""
     edges = np.diff(np.concatenate([points[-1:], points, points[:1]]), axis=0)
     return edges, np.hypot(edges[:, 0], edges[:, 1])
-
-
-def _edge_arcs(points: np.ndarray):
-    """(curvature, arcs) of a closed polyline; arcs[i] joins vertex i and i+1."""
-    edges, chord = _chords(points)
-    if np.any(chord == 0.0):
-        raise ValueError("degenerate edge")
-    dth = _turning(edges[:-1], edges[1:])  # turning at vertex i
-    # read as an open polyline that starts with edge n-1, so vertex 0 has two edges
-    arcs, kappa = _arcs_and_curvature(chord, np.concatenate([dth[-1:], dth, dth[:1]]))
-    return kappa, arcs[1:]
 
 
 def _normals(points: np.ndarray) -> np.ndarray:
@@ -193,6 +163,11 @@ def _normals(points: np.ndarray) -> np.ndarray:
     return np.stack([-tang[:, 1], tang[:, 0]], axis=1)
 
 
+def _wrapped(points: np.ndarray, pad: int) -> np.ndarray:
+    """A closed polyline as an open one, with ``pad`` vertices repeated at each end."""
+    return np.concatenate([points[-pad:], points, points[:pad]])
+
+
 def curvature_profile(c: ClosedCurve):
     """Signed per-vertex curvature and unit leftward normals.
 
@@ -200,7 +175,7 @@ def curvature_profile(c: ClosedCurve):
     convention follows the leftward normal of the traversal direction
     (counterclockwise circles have positive curvature).
     """
-    return _edge_arcs(c.points)[0], _normals(c.points)
+    return open_curvature_profile(_wrapped(c.points, 2))[0][2:-2], _normals(c.points)
 
 
 def _second_difference(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -209,22 +184,19 @@ def _second_difference(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 2.0 * (f[:-2] * hp - f[1:-1] * (hm + hp) + f[2:] * hm) / (hm * hp * (hm + hp))
 
 
-def _second_arc_derivative(f: np.ndarray, arcs: np.ndarray) -> np.ndarray:
-    """Cyclic second derivative; arcs[i] is the arc between vertex i and i+1."""
-    f = np.concatenate([f[-1:], f, f[:1]])
-    return _second_difference(f, np.concatenate([arcs[-1:], arcs]))
-
-
 def normal_velocity(c: ClosedCurve) -> np.ndarray:
     """Normal speed -d^2 kappa / ds^2 at every vertex."""
-    return -_second_arc_derivative(*_edge_arcs(c.points))
+    return open_normal_velocity(_wrapped(c.points, 3))[3:-3]
 
 
 def open_curvature_profile(points: np.ndarray):
-    """Curvature of an open polyline; endpoints are NaN.
+    """Curvature of an open polyline (endpoints NaN), and its arc-corrected
+    edge lengths; arcs[i] joins vertex i and i+1.
 
-    Same turning-angle construction as the closed case, restricted to
-    vertices with two neighbours.
+    Each edge's chord gets the circular-arc correction (1 + w^2/24), with
+    w the mean turning at its ends (an end edge takes the turning at its
+    one interior vertex), and each interior turning is divided by the
+    mean arc of its two edges.
     """
     pts = np.asarray(points, dtype=float)
     edges = pts[1:] - pts[:-1]
@@ -232,10 +204,11 @@ def open_curvature_profile(points: np.ndarray):
     if np.any(chord == 0.0):
         raise ValueError("degenerate edge")
     dth = _turning(edges[:-1], edges[1:])  # turning at interior vertex i+1
-    # an end edge takes the turning at its one interior vertex at both ends
-    arcs, inner = _arcs_and_curvature(chord, np.concatenate([dth[:1], dth, dth[-1:]]))
+    turning = np.concatenate([dth[:1], dth, dth[-1:]])
+    w = 0.5 * (turning[:-1] + turning[1:])
+    arcs = chord * (1.0 + w * w / 24.0)
     kappa = np.full(pts.shape[0], np.nan)
-    kappa[1:-1] = inner
+    kappa[1:-1] = dth / (0.5 * (arcs[:-1] + arcs[1:]))
     return kappa, arcs
 
 
@@ -313,8 +286,9 @@ def seed_lemniscate(n: int) -> ClosedCurve:
     return _on_equal_arcs(figure_eight, n)
 
 
-def seed_clothoid(s_max: float, n: int) -> OpenArc:
-    """Euler spiral with curvature equal to arc length on [-s_max, s_max].
+def seed_clothoid(s_max: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Euler spiral with curvature equal to arc length on [-s_max, s_max]:
+    its (n, 2) points and their arc-length positions s.
 
     Positions come from the Fresnel integrals (tangent angle s^2/2), so
     the parameter is exact arc length.
@@ -329,7 +303,7 @@ def seed_clothoid(s_max: float, n: int) -> OpenArc:
     arg = s / math.sqrt(math.pi)
     S, C = fresnel(arg)
     root = math.sqrt(math.pi)
-    return OpenArc(np.stack([root * C, root * S], axis=1), s)
+    return np.stack([root * C, root * S], axis=1), s
 
 
 # --------------------------------------------------------------------------
@@ -428,13 +402,11 @@ def flow(
     frame_times = [t_end * (j + 1) / frames for j in range(frames)]
     pts = c.points
     for tf in frame_times:
-        while t < tf - 1e-15 * t_end:
+        for h, t in _steps_to(t, tf, dt, t_end):
             chords = _chords(pts)  # shared by the collapse test and the step
             if np.min(chords[1]) < min_edge:
                 return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
-            dt_n = min(dt, tf - t)
-            _, pts = _bgn_step(pts, dt_n, chords)
-            t += dt_n
+            _, pts = _bgn_step(pts, h, chords)
             if not np.all(np.isfinite(pts)):
                 return FlowResult(frames_out, FlowOutcome("failed", reason="non-finite"))
 

@@ -9,6 +9,7 @@ the background A*x enters only through its (periodic) derivatives.
 graph frames, trajectories and curve frames are each a header and float
 columns written and read through them.  ``_unsigned_zeros`` writes
 signed zeros as 0.0, for the codec and the command line's JSON files.
+``_steps_to`` is the frame clock of the graph flow and the curve flow.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def _read_csv(text: str, header: str):
     if not np.all(np.isfinite(values)):
         raise ValueError("CSV values must be finite")
     return meta, values
+
+
+def _steps_to(t: float, tf: float, dt: float, t_end: float):
+    """Yield (h, time after the step) for steps of h = dt from t that land on
+    the frame time tf; the last is shortened to tf - t.  The clock stops
+    within 1e-15 t_end of tf, so round-off never makes a sliver step."""
+    while t < tf - 1e-15 * t_end:
+        h = min(dt, tf - t)
+        t += h
+        yield h, t
 
 
 def speed(psi):

@@ -24,7 +24,9 @@ import numpy as np
 
 # graphpde.surface_diffusion_operator is a wrap point of perfbench/layers.py;
 # step itself calls the array form, _surface_diffusion
-from .geometry import GraphField, _d1, _surface_diffusion, surface_diffusion_operator  # noqa: F401
+from .geometry import (  # noqa: F401
+    GraphField, _d1, _steps_to, _surface_diffusion, surface_diffusion_operator,
+)
 
 __all__ = [
     "FlowConfig",
@@ -144,10 +146,8 @@ def evolve(
     t = 0.0
     cur = f
     for tf in frame_times:
-        while t < tf - 1e-15 * cfg.t_end:
-            dt = min(cfg.dt, tf - t)
+        for dt, t in _steps_to(t, tf, cfg.dt, cfg.t_end):
             cur = step(cur, cfg if dt == cfg.dt else replace(cfg, dt=dt))
-            t += dt
         t = tf
         mon = _monitors(cur, t)
         if mon.max_slope >= cfg.slope_ceiling:

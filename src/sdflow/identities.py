@@ -15,7 +15,9 @@ both satisfy the same weighted convexity identity
 for any choice of the constants.  The checks here evaluate the left
 side by nested centered differences over a trajectory's dense samples
 and report the worst deviation from 2 w^2, independently of the
-integration route that produced the samples.
+integration route that produced the samples.  ``reduction_residual``
+checks the reduction of the profile equation itself, psi_y = k v^3 and
+k_y = w v, in arc length, where it holds up to a vertical tangent.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import speed
-from .soliton import ProfileState, Trajectory
+from .soliton import Trajectory
 
 __all__ = [
     "QParams",
@@ -38,8 +40,7 @@ __all__ = [
     "convexity_residual_q",
     "convexity_residual_m",
     "tangential_identity_residual",
-    "cauchy_schwarz_check",
-    "cauchy_schwarz_holds",
+    "reduction_residual",
     "q_upper_bound_residual",
     "steady_first_integral_residuals",
 ]
@@ -65,8 +66,8 @@ class IdentityReport:
     extra: Optional[dict] = None
 
     def __post_init__(self):
-        if self.max_residual < 0:
-            raise ValueError("residual must be nonnegative")
+        if not (math.isfinite(self.max_residual) and self.max_residual >= 0):
+            raise ValueError(f"{self.identity} residual {self.max_residual} is not finite and nonnegative")
 
     @property
     def passed(self) -> Optional[bool]:
@@ -202,16 +203,28 @@ def tangential_identity_residual(traj: Trajectory, a: float, b: float) -> Identi
     )
 
 
-def cauchy_schwarz_holds(phi, psi, y):
-    """|phi psi + y| <= v sqrt(phi^2 + y^2), with a 1e-12 slack; elementwise."""
-    return np.abs(phi * psi + y) <= speed(psi) * np.sqrt(phi * phi + y * y) + 1e-12
-
-
-def cauchy_schwarz_check(s: ProfileState) -> bool:
-    """``cauchy_schwarz_holds`` at one state; undefined at phi = y = 0."""
-    if s.phi * s.phi + s.y * s.y <= 0.0:
-        raise ValueError("undefined at phi = y = 0")
-    return bool(cauchy_schwarz_holds(s.phi, s.psi, s.y))
+def reduction_residual(traj: Trajectory) -> IdentityReport:
+    """Check the reduction in arc length, theta_s = k and k_s = w (psi_y =
+    k v^3 and k_y = w v divided by v^3 and v), by three-point differences
+    on the uneven samples of S; the residual is the larger of the two.
+    Unlike the y-derivatives, these stay bounded up to a vertical tangent."""
+    if traj.n < 5:
+        raise ValueError("need at least 5 samples")
+    h = np.diff(traj.S)
+    hm, hp = h[:-1], h[1:]
+    denom = hm * hp * (hm + hp)
+    if np.any(denom == 0.0):
+        raise ValueError("degenerate sample spacing")
+    theta_s, k_s = ((-(hp**2) * f[:-2] + (hp**2 - hm**2) * f[1:-1] + hm**2 * f[2:]) / denom
+                    for f in (traj.theta, traj.k))
+    res = np.maximum(np.abs(theta_s - traj.k[1:-1]), np.abs(k_s - traj.w[1:-1]))
+    i = int(np.argmax(res))
+    return IdentityReport(
+        identity="reduction",
+        max_residual=float(res[i]),
+        y_at_max=float(traj.y[1:-1][i]),
+        samples_used=traj.n,
+    )
 
 
 def q_upper_bound_residual(traj: Trajectory) -> float:

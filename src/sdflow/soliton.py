@@ -37,7 +37,6 @@ event), or a numerical failure (non-finite state, step underflow).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -59,7 +58,6 @@ __all__ = [
     "integrate",
     "shoot_bidirectional",
     "shoot_batch",
-    "redundant_derivative_check",
     "sample_initial_state",
     "seeded_initial_states",
     "run_sweep",
@@ -709,9 +707,6 @@ class ClassificationReport:
             "options": asdict(self.options),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
 
 def _classify(kind, init, fwd, bwd, opts, store, seed) -> ClassificationReport:
     """Trivial requires both directions to complete the budget with
@@ -791,33 +786,6 @@ def shoot_bidirectional(
     """Integrate in both directions and classify the initial state: a
     batch of one state (see ``_classify``)."""
     return shoot_batch(kind, [init], y_budget, opts, store, seed)[0]
-
-
-def redundant_derivative_check(traj: Trajectory) -> float:
-    """Cross-check the reduction: FD(psi) vs k v^3 and FD(k) vs w v.
-
-    Centered three-point differences on the (possibly nonuniform) sample
-    grid; returns the larger of the two maximal residuals.  Both are
-    O(h^2) in the local sample spacing for a consistent trajectory.
-    """
-    if traj.n < 5:
-        raise ValueError("need at least 5 samples")
-    y, psi, k, w = traj.y, traj.psi, traj.k, traj.w
-    hm = y[1:-1] - y[:-2]
-    hp = y[2:] - y[1:-1]
-    denom = hm * hp * (hm + hp)
-    if np.any(denom == 0.0):
-        raise ValueError("degenerate sample spacing")
-
-    def d(fv):
-        return (
-            -(hp**2) * fv[:-2] + (hp**2 - hm**2) * fv[1:-1] + hm**2 * fv[2:]
-        ) / denom
-
-    v = np.sqrt(1.0 + psi[1:-1] ** 2)
-    res_psi = np.max(np.abs(d(psi) - k[1:-1] * v**3))
-    res_k = np.max(np.abs(d(k) - w[1:-1] * v))
-    return float(max(res_psi, res_k))
 
 
 # --------------------------------------------------------------------------

@@ -250,8 +250,8 @@ def test_criterion_09_conservation_monitors():
 def test_criterion_10_figure_one_equilibria():
     kappa = 2.0
     speed = float(np.max(np.abs(normal_velocity(seed_circle(kappa, 512)))))
-    arc = seed_clothoid(3.0, 512)
-    v = open_normal_velocity(arc.points)
+    points, _ = seed_clothoid(3.0, 512)
+    v = open_normal_velocity(points)
     clothoid_speed = float(np.max(np.abs(v[5:-5])))  # interior window
     ok = speed <= 1e-6 * kappa**3 and clothoid_speed <= 1e-4
     line = _verdict(10, "stationary circle and clothoid", ok,

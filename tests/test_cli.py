@@ -167,7 +167,7 @@ def test_verify_selfsimilar_and_steady(tmp_path):
     assert code == 0
     bundle = json.loads((tmp_path / "v" / "verify.json").read_text())
     names = {chk["identity"] for entry in bundle["reports"] for chk in entry["checks"]}
-    assert names == {"q_convexity", "q_bound"}
+    assert names == {"q_convexity", "q_bound", "reduction"}
 
     assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
                 "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
@@ -191,7 +191,71 @@ def test_verify_records_pass_by_their_own_threshold(tmp_path):
     for c in checks:
         assert c["pass"] == (c["max_residual"] <= c["threshold"]), c
     verdicts = [(c["identity"], c["pass"]) for c in checks]
-    assert verdicts == [("steady_w", False), ("steady_k", True)]
+    assert verdicts == [("steady_w", False), ("steady_k", True), ("reduction", True)]
+
+
+def with_column(src, dst, col, fn):
+    """Copy the trajectory file ``src`` to ``dst`` with ``fn`` applied to
+    column ``col`` of every row."""
+    lines = src.read_text().splitlines()
+    first = lines.index("y,phi,psi,theta,k,w,S") + 1
+    for i in range(first, len(lines)):
+        cols = lines[i].split(",")
+        cols[col] = repr(fn(float(cols[col])))
+        lines[i] = ",".join(cols)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def test_verify_fails_a_trajectory_with_doubled_slopes(tmp_path):
+    # the first integrals hold whatever psi is, so this once passed; only the
+    # reduction psi_y = k v^3 ties psi to the other columns
+    assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
+                "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
+    bad = with_column(tmp_path / "sd" / "trajectory_fwd.csv", tmp_path / "doubled.csv", 2,
+                      lambda psi: 2.0 * psi)
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 1
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"][0]["checks"]
+    verdicts = [(c["identity"], c["pass"]) for c in checks]
+    assert verdicts == [("steady_w", True), ("steady_k", True), ("reduction", False)]
+
+
+# one shoot of each kind that verify checks on its uniform grid (exit 2: inconclusive)
+UNIFORM_SHOOTS = pytest.mark.parametrize("kind, init, budget, sample_h", [
+    ("steady", "0,0.4,0,0.0001", "30", "0.01"),
+    ("selfsimilar", "0.3,0.2,0.4,0.1", "0.6", "0.001"),
+])
+
+
+@UNIFORM_SHOOTS
+def test_verify_fails_a_trajectory_whose_speed_overflows(tmp_path, kind, init, budget, sample_h):
+    # psi = 1e200 is finite, but v = sqrt(1 + psi^2) is not; a steady file like
+    # this once passed.  The reduction check takes theta = atan(psi), which stays
+    # finite, and fails the file with a finite residual.
+    assert run(["shoot", kind, "--init", init, "--budget", budget, "--sample-h", sample_h,
+                "--out", tmp_path / "s"]) == 2
+    bad = with_column(tmp_path / "s" / "trajectory_fwd.csv", tmp_path / "huge.csv", 2,
+                      lambda psi: 1e200)
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 1
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"][0]["checks"]
+    assert checks[-1]["identity"] == "reduction" and not checks[-1]["pass"]
+    assert all(math.isfinite(c["max_residual"]) for c in checks)
+
+
+@UNIFORM_SHOOTS
+def test_verify_rejects_a_residual_that_overflows(tmp_path, capsys, kind, init, budget, sample_h):
+    # arc lengths of 1e300 are finite, but their squares in the difference
+    # stencils (and in Q) are not: the residual is NaN, and json.dumps would
+    # write it into verify.json
+    assert run(["shoot", kind, "--init", init, "--budget", budget, "--sample-h", sample_h,
+                "--out", tmp_path / "s"]) == 2
+    capsys.readouterr()
+    bad = with_column(tmp_path / "s" / "trajectory_fwd.csv", tmp_path / "huge.csv", 6,
+                      lambda s: 1e300 * s)
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
+    assert not (tmp_path / "v").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not finite" in err[0], err
 
 
 def test_verify_truncated_file_parse_error(tmp_path):

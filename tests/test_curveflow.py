@@ -13,6 +13,7 @@ from sdflow.curveflow import (
     _bgn_layout,
     _bgn_step,
     _chords,
+    _wrapped,
     curvature_profile,
     flow,
     hausdorff_distance,
@@ -50,10 +51,10 @@ def test_straight_segment_zero_curvature():
 
 
 def test_clothoid_curvature_matches_arc_length():
-    arc = seed_clothoid(3.0, 512)
-    kappa, _ = open_curvature_profile(arc.points)
+    points, s = seed_clothoid(3.0, 512)
+    kappa, _ = open_curvature_profile(points)
     inner = slice(2, -2)
-    assert np.max(np.abs(kappa[inner] - arc.s[inner])) <= 1e-6
+    assert np.max(np.abs(kappa[inner] - s[inner])) <= 1e-6
 
 
 def test_degenerate_edge_rejected():
@@ -74,8 +75,8 @@ def test_circle_is_equilibrium():
 def test_clothoid_is_equilibrium():
     # interior window: the first two computed values lean on the
     # one-sided arc correction at the boundary and are excluded
-    arc = seed_clothoid(3.0, 512)
-    v = open_normal_velocity(arc.points)
+    points, _ = seed_clothoid(3.0, 512)
+    v = open_normal_velocity(points)
     assert np.max(np.abs(v[5:-5])) <= 1e-4
 
 
@@ -166,16 +167,29 @@ def reference_closed_velocity(pts):
     return -(2.0 * (fm * hp - kappa * (hm + hp) + fp * hm) / (hm * hp * (hm + hp)))
 
 
+def noisy_100_gon():
+    ang = 2.0 * math.pi * np.arange(100) / 100
+    noise = 1e-3 * np.random.default_rng(5).standard_normal((100, 2))
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1) + noise
+
+
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
-       wobble=st.floats(0.0, 0.9))
-def test_closed_stencils_match_reference_bit_for_bit(n, seed, scale, wobble):
-    c = ClosedCurve(random_star(n, seed, wobble, scale))
+@given(points=st.builds(random_star, n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1),
+                        wobble=st.floats(0.0, 0.9), scale=st.floats(1e-3, 1e3)))
+@example(points=seed_lemniscate(512).points)
+@example(points=seed_lemniscate(64).points)
+@example(points=seed_circle(2.0, 512).points)
+@example(points=seed_ellipse(1.0, 0.5, 256).points)
+@example(points=noisy_100_gon())
+def test_closed_stencils_match_reference_bit_for_bit(points):
+    # the closed curve takes the open stencils on the wrapped polygon
+    c = ClosedCurve(points)
     kappa, _ = curvature_profile(c)
-    ref_kappa, ref_arcs = reference_closed_curvature(c.points)
+    ref_kappa, ref_arcs = reference_closed_curvature(points)
     assert kappa.tobytes() == ref_kappa.tobytes()
+    assert open_curvature_profile(_wrapped(points, 2))[1][2:-1].tobytes() == ref_arcs.tobytes()
     assert c.length() == float(np.sum(ref_arcs))
-    assert normal_velocity(c).tobytes() == reference_closed_velocity(c.points).tobytes()
+    assert normal_velocity(c).tobytes() == reference_closed_velocity(points).tobytes()
 
 
 # ----------------------------------------------------------------------- seeds
@@ -215,13 +229,13 @@ def test_seed_lemniscate_symmetries():
 
 
 def test_seed_clothoid_quadrature_oracle():
-    arc = seed_clothoid(2.0, 65)
+    points, s = seed_clothoid(2.0, 65)
     for i in (0, 16, 32, 48, 64):
-        si = arc.s[i]
+        si = s[i]
         x_ref = quad(lambda u: math.cos(0.5 * u * u), 0.0, si, epsabs=1e-13)[0]
         y_ref = quad(lambda u: math.sin(0.5 * u * u), 0.0, si, epsabs=1e-13)[0]
-        assert arc.points[i, 0] == pytest.approx(x_ref, abs=1e-10)
-        assert arc.points[i, 1] == pytest.approx(y_ref, abs=1e-10)
+        assert points[i, 0] == pytest.approx(x_ref, abs=1e-10)
+        assert points[i, 1] == pytest.approx(y_ref, abs=1e-10)
 
 
 def test_resample_uniform_spread():

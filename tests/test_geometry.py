@@ -147,3 +147,35 @@ def test_stencils_match_roll_formulas_bit_for_bit(arr, dx):
     d2 = (np.roll(arr, -1) - 2.0 * arr + np.roll(arr, 1)) / (dx * dx)
     assert _d1(arr, dx).tobytes() == d1.tobytes()
     assert _d2(arr, dx).tobytes() == d2.tobytes()
+
+
+def test_both_flows_keep_one_frame_clock(monkeypatch):
+    # dt does not divide the frame spacing 0.1 / 7, so the last step into each
+    # frame is shortened; both flows must take the same steps and land exactly
+    from sdflow import curveflow, graphpde
+
+    dt, t_end, frames = 0.003, 0.1, 7
+    steps = {"graph": [], "curve": []}
+
+    def graph_step(f, cfg, step=graphpde.step):
+        steps["graph"].append(cfg.dt)
+        return step(f, cfg)
+
+    def bgn_step(pts, h, chords=None, step=curveflow._bgn_step):
+        steps["curve"].append(h)
+        return step(pts, h, chords)
+
+    monkeypatch.setattr(graphpde, "step", graph_step)
+    monkeypatch.setattr(curveflow, "_bgn_step", bgn_step)
+    x = np.arange(32) * (2.0 * math.pi / 32)
+    field = GraphField(2.0 * math.pi, 0.0, 1e-3 * np.sin(x))
+    _, series = graphpde.evolve(field, graphpde.FlowConfig(dt=dt, t_end=t_end), frames=frames)
+    result = curveflow.flow(curveflow.seed_circle(1.0, 32), dt=dt, t_end=t_end, frames=frames)
+
+    expected = [t_end * j / frames for j in range(frames + 1)]
+    assert [t for t, _, _ in series] == expected
+    assert [t for t, _, _ in result.frames] == expected
+    # 5 steps per frame, the fifth shortened to land on the frame
+    assert steps["graph"] == steps["curve"]
+    assert len(steps["graph"]) == 5 * frames
+    assert [h == dt for h in steps["graph"]] == [True, True, True, True, False] * frames

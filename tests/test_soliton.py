@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdflow.identities import reduction_residual
 from sdflow.soliton import (
     BreakdownCertificate,
     IntegratorOptions,
@@ -18,13 +19,18 @@ from sdflow.soliton import (
     _errors,
     _step,
     integrate,
-    redundant_derivative_check,
     run_sweep,
     sample_initial_state,
     shoot_batch,
     shoot_bidirectional,
     vector_field,
 )
+
+
+def report_json(report):
+    """A report as the command line writes it: its dict, keys sorted, indent 1."""
+    return json.dumps(report.to_dict(), sort_keys=True, indent=1)
+
 
 STEADY = SolitonKind.steady()
 SELFSIM = SolitonKind.self_similar()
@@ -300,22 +306,22 @@ def test_uniform_grid_lies_on_the_circle():
 
 def test_redundant_derivative_exact_line():
     traj = integrate(STEADY, ProfileState.initial(psi=0.5), 1, 10.0)
-    assert redundant_derivative_check(traj) <= 1e-12
+    assert reduction_residual(traj).max_residual <= 1e-12
 
 
 def test_redundant_derivative_integrated():
     opts = IntegratorOptions(sample_h=1e-3)
     traj = integrate(SELFSIM, ProfileState.initial(phi=0.5, psi=0.3, k=0.4, w=0.2), 1, 0.8, opts)
     assert traj.n > 100
-    assert redundant_derivative_check(traj) <= 1e-4
+    assert reduction_residual(traj).max_residual <= 1e-4
 
 
 def test_redundant_derivative_detects_corruption():
     opts = IntegratorOptions(sample_h=1e-3)
     traj = integrate(SELFSIM, ProfileState.initial(k=0.3), 1, 0.5, opts)
-    clean = redundant_derivative_check(traj)
+    clean = reduction_residual(traj).max_residual
     traj.psi[traj.n // 2] += 1e-3
-    assert redundant_derivative_check(traj) > max(10.0 * clean, 1e-4)
+    assert reduction_residual(traj).max_residual > max(10.0 * clean, 1e-4)
 
 
 def test_redundant_derivative_needs_samples():
@@ -325,7 +331,7 @@ def test_redundant_derivative_needs_samples():
         traj.k[:3], traj.w[:3], traj.S[:3], "completed", None, traj.options, 0.0, 0.0,
     )
     with pytest.raises(ValueError):
-        redundant_derivative_check(short)
+        reduction_residual(short)
 
 
 # ------------------------------------------------------------------- artifacts
@@ -352,7 +358,7 @@ def test_trajectory_csv_rejects_garbage():
 
 def test_report_json_contents():
     report = shoot_bidirectional(STEADY, ProfileState.initial(k=0.5), 50.0, seed=3)
-    payload = json.loads(report.to_json())
+    payload = json.loads(report_json(report))
     assert payload["outcome"] == "breakdown"
     assert payload["certificate"]["type"] == "angle_excess"
     assert payload["certificate"]["detail"]["value"] > math.pi
@@ -435,7 +441,7 @@ def test_lane_error_is_pythons_max(columns):
 
 
 def _assert_same_report(a, b):
-    assert a.to_json() == b.to_json()
+    assert report_json(a) == report_json(b)
     for ta, tb in ((a.forward, b.forward), (a.backward, b.backward)):
         assert (ta is None) == (tb is None)
         if ta is not None:
@@ -512,14 +518,14 @@ def test_reports_invariant_to_batch_size_and_workers(kind):
     inits = [sample_initial_state(np.random.default_rng([2027, i])) for i in range(100)]
     assert exported is shoot_batch
     assert seeded_initial_states(2027, 0, 100) == inits
-    expected = [shoot_bidirectional(kind, init, 200.0, store=False, seed=2027).to_json()
+    expected = [report_json(shoot_bidirectional(kind, init, 200.0, store=False, seed=2027))
                 for init in inits]
     sevens = [report for i in range(0, 100, 7)
               for report in shoot_batch(kind, inits[i:i + 7], 200.0, store=False, seed=2027)]
-    assert [r.to_json() for r in sevens] == expected
-    assert [r.to_json() for r in shoot_batch(kind, inits, 200.0, store=False, seed=2027)] == expected
+    assert [report_json(r) for r in sevens] == expected
+    assert [report_json(r) for r in shoot_batch(kind, inits, 200.0, store=False, seed=2027)] == expected
     for workers in (1, 2, 3):
-        assert [r.to_json() for r in run_sweep(kind, 100, 2027, workers=workers)] == expected
+        assert [report_json(r) for r in run_sweep(kind, 100, 2027, workers=workers)] == expected
 
 
 def test_sweep_pool_never_exceeds_the_cpus(monkeypatch):
@@ -543,11 +549,11 @@ def test_sweep_pool_never_exceeds_the_cpus(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool, raising=False)
-    expected = [r.to_json() for r in run_sweep(STEADY, 7, 3, workers=1)]
+    expected = [report_json(r) for r in run_sweep(STEADY, 7, 3, workers=1)]
     for cpus, workers, size in [(2, 2, 2), (2, 3, 2), (2, 7, 2), (2, 5000, 2), (8, 3, 3),
                                 (None, 4, 1)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert [r.to_json() for r in run_sweep(STEADY, 7, 3, workers=workers)] == expected
+        assert [report_json(r) for r in run_sweep(STEADY, 7, 3, workers=workers)] == expected
         assert sizes.pop() == size
     assert sizes == []
 
