@@ -7,7 +7,7 @@ diffusion for closed curves.
 
 __version__ = "0.1.0"
 
-from .geometry import GraphField, speed, surface_diffusion_operator
+from .geometry import GraphField, surface_diffusion_operator
 from .soliton import (
     BreakdownCertificate,
     ClassificationReport,

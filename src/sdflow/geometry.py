@@ -1,4 +1,4 @@
-"""Metric factor and grid geometry of entire graphs.
+"""Grid geometry of entire graphs, and the package's CSV codec.
 
 A graph u(x) = A*x + w(x), with w periodic on a cell of length L, is the
 only desk-scale representation of an unbounded linear-growth graph.  All
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "GraphField",
-    "speed",
     "surface_diffusion_operator",
 ]
 
@@ -90,16 +89,6 @@ def _steps_to(t: float, tf: float, dt: float, t_end: float):
         h = min(dt, tf - t)
         t += h
         yield h, t
-
-
-def speed(psi):
-    """Metric factor sqrt(1 + psi^2) of a graph with slope psi.
-
-    Accepts scalars or arrays; always >= 1.
-    """
-    if isinstance(psi, np.ndarray):
-        return np.sqrt(1.0 + psi.astype(float) ** 2)
-    return math.sqrt(1.0 + psi * psi)
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,24 @@
 
 Along a self-similar profile the functional
 
-    Q(y) = k^2 + c1 + c2 S + (y^2 + phi^2)/4 - S^2/4
+    Q = k^2 + c1 + c2 S + (y^2 + phi^2)/4 - S^2/4
 
 and along a travelling-wave profile the functional
 
-    M(y) = k^2 + 2 (a y + b phi)
+    M = k^2 + 2 (a y + b phi)
 
-both satisfy the same weighted convexity identity
+both satisfy the same convexity identity in arc length S,
 
-    (1/v) d/dy ( (1/v) dQ/dy ) = 2 w^2 >= 0,     w = (1/v) dk/dy,
+    d^2 Q / dS^2 = 2 w^2 >= 0,     w = dk/dS,
 
-for any choice of the constants.  The checks here evaluate the left
-side by nested centered differences over a trajectory's dense samples
-and report the worst deviation from 2 w^2, independently of the
-integration route that produced the samples.  ``reduction_residual``
+for any choice of the constants (in y it reads (1/v) d/dy((1/v) dQ/dy),
+v = sqrt(1 + psi^2)).  Every derivative here is one three-point
+difference in S (``_d_ds``), which follows a profile up to a vertical
+tangent.  The checks evaluate the left side over a trajectory's dense
+samples and report the worst deviation from the right, independently of
+the integration route that produced the samples.  ``reduction_residual``
 checks the reduction of the profile equation itself, psi_y = k v^3 and
-k_y = w v, in arc length, where it holds up to a vertical tangent.
+k_y = w v, as theta_s = k and k_s = w.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import speed
 from .soliton import Trajectory
 
 __all__ = [
@@ -117,28 +118,33 @@ def m_value(s, a: float, b: float):
     return s.k * s.k + 2.0 * (a * s.y + b * s.phi)
 
 
-def _uniform_h(y: np.ndarray) -> float:
-    """Signed uniform sample spacing; negative for backward trajectories."""
-    d = np.diff(y)
-    h = d[0]
-    if h == 0 or not np.allclose(d, h, rtol=1e-6, atol=0.0):
+def _d_ds(f: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """First derivative in arc length at the interior samples, by the
+    three-point difference on the samples of S, even or not."""
+    h = np.diff(S)
+    hm, hp = h[:-1], h[1:]
+    denom = hm * hp * (hm + hp)
+    if np.any(denom == 0.0):
+        raise ValueError("degenerate sample spacing")
+    return (-(hp**2) * f[:-2] + (hp**2 - hm**2) * f[1:-1] + hm**2 * f[2:]) / denom
+
+
+def _check_uniform(S: np.ndarray) -> None:
+    """Reject a grid that is not uniform in S, such as theta-resolved output."""
+    d = np.diff(S)
+    if d[0] == 0 or not np.allclose(d, d[0], rtol=1e-6, atol=0.0):
         raise ValueError("identity checks need uniform dense sampling (sample_h)")
-    return float(h)
 
 
-def _centered(F: np.ndarray, h: float) -> np.ndarray:
-    """Centered first difference at the interior samples."""
-    return (F[2:] - F[:-2]) / (2.0 * h)
-
-
-def _convexity_report(identity: str, traj: Trajectory, F: np.ndarray) -> IdentityReport:
-    """Worst |(1/v)((1/v)F')' - 2 w^2| by nested centered differences.
+def _convexity_report(identity: str, traj: Trajectory, terms) -> IdentityReport:
+    """Worst |F_SS - 2 w^2| for F the sum of ``terms``, each differenced on
+    its own, which rounds less than differencing their sum.
 
     The doubly-interior stencil reaches samples 2 .. n-3.
     """
-    h = _uniform_h(traj.y)
-    v = speed(traj.psi)
-    lhs = _centered(_centered(F, h) / v[1:-1], h) / v[2:-2]
+    S = traj.S
+    _check_uniform(S)
+    lhs = sum(_d_ds(_d_ds(f, S), S[1:-1]) for f in terms)
     res = np.abs(lhs - 2.0 * traj.w[2:-2] ** 2)
     i = int(np.argmax(res))
     return IdentityReport(
@@ -151,30 +157,25 @@ def _convexity_report(identity: str, traj: Trajectory, F: np.ndarray) -> Identit
 
 
 def convexity_residual_q(traj: Trajectory, params: Optional[QParams] = None) -> IdentityReport:
-    """Worst-case |(1/v)((1/v)Q')' - 2 w^2| over a self-similar trajectory.
+    """Worst-case |Q_SS - 2 w^2| over a self-similar trajectory.
 
-    The identity holds for any constants, so with ``params=None`` the
-    check runs at (0, 0) and at the initial-height constants and takes
-    the worse of the two; their near-equality doubles as a regression
-    check on the arc-length integration.
+    The identity holds for any constants: c1 drops out of Q_SS and c2 S
+    is linear in the grid variable, so ``params=None`` takes (0, 0).
     """
     if traj.kind.name != "selfsimilar":
         raise ValueError("Q convexity applies to self-similar trajectories")
     if traj.n < 7:
         raise ValueError("need at least 7 samples")
-    param_sets = (
-        [params]
-        if params is not None
-        else [QParams(0.0, 0.0), q_paper_constants(float(traj.phi[np.argmin(np.abs(traj.y))]))]
-    )
-    reports = (_convexity_report("q_convexity", traj, q_value(traj, p)) for p in param_sets)
-    return max(reports, key=lambda rep: rep.max_residual)
+    c2 = 0.0 if params is None else params.c2
+    y, phi, k, S = traj.y, traj.phi, traj.k, traj.S
+    terms = (k * k, c2 * S, 0.25 * (y * y), 0.25 * (phi * phi), -0.25 * (S * S))
+    return _convexity_report("q_convexity", traj, terms)
 
 
 def convexity_residual_m(
     traj: Trajectory, a: Optional[float] = None, b: Optional[float] = None
 ) -> IdentityReport:
-    """Worst-case |(1/v)((1/v)M')' - 2 w^2| over a travelling-wave trajectory."""
+    """Worst-case |M_SS - 2 w^2| over a travelling-wave trajectory."""
     if traj.kind.name != "travelling":
         raise ValueError("M convexity applies to travelling-wave trajectories")
     if traj.n < 7:
@@ -183,16 +184,19 @@ def convexity_residual_m(
         a = traj.kind.a
     if b is None:
         b = traj.kind.b
-    return _convexity_report("m_convexity", traj, m_value(traj, a, b))
+    terms = (traj.k * traj.k, 2.0 * a * traj.y, 2.0 * b * traj.phi)
+    return _convexity_report("m_convexity", traj, terms)
 
 
 def tangential_identity_residual(traj: Trajectory, a: float, b: float) -> IdentityReport:
-    """Check d/dy((a + b psi)/v) = k (b - a psi) along any trajectory."""
+    """Check d/dS(a cos theta + b sin theta) = k (b cos theta - a sin theta)
+    along any trajectory."""
     if traj.n < 3:
         raise ValueError("need at least 3 samples")
-    psi = traj.psi
-    lhs = _centered((a + b * psi) / speed(psi), _uniform_h(traj.y))
-    rhs = traj.k[1:-1] * (b - a * psi[1:-1])
+    _check_uniform(traj.S)
+    c, s = np.cos(traj.theta), np.sin(traj.theta)
+    lhs = _d_ds(a * c + b * s, traj.S)
+    rhs = traj.k[1:-1] * (b * c[1:-1] - a * s[1:-1])
     res = np.abs(lhs - rhs)
     i = int(np.argmax(res))
     return IdentityReport(
@@ -205,18 +209,11 @@ def tangential_identity_residual(traj: Trajectory, a: float, b: float) -> Identi
 
 def reduction_residual(traj: Trajectory) -> IdentityReport:
     """Check the reduction in arc length, theta_s = k and k_s = w (psi_y =
-    k v^3 and k_y = w v divided by v^3 and v), by three-point differences
-    on the uneven samples of S; the residual is the larger of the two.
-    Unlike the y-derivatives, these stay bounded up to a vertical tangent."""
+    k v^3 and k_y = w v divided by v^3 and v), on the samples of S, even
+    or not; the residual is the larger of the two."""
     if traj.n < 5:
         raise ValueError("need at least 5 samples")
-    h = np.diff(traj.S)
-    hm, hp = h[:-1], h[1:]
-    denom = hm * hp * (hm + hp)
-    if np.any(denom == 0.0):
-        raise ValueError("degenerate sample spacing")
-    theta_s, k_s = ((-(hp**2) * f[:-2] + (hp**2 - hm**2) * f[1:-1] + hm**2 * f[2:]) / denom
-                    for f in (traj.theta, traj.k))
+    theta_s, k_s = _d_ds(traj.theta, traj.S), _d_ds(traj.k, traj.S)
     res = np.maximum(np.abs(theta_s - traj.k[1:-1]), np.abs(k_s - traj.w[1:-1]))
     i = int(np.argmax(res))
     return IdentityReport(

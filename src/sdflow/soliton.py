@@ -23,16 +23,17 @@ kind an exact fixed point in floating point.
 Integration is by an adaptive Dormand-Prince 5(4) pair, advanced over a
 batch of lanes (one initial state and direction each) whose stages run
 as numpy arrays; each lane keeps its own step size and events, so its
-result does not depend on the batch.  The pair's native
-dense output and one root-finder locate every event: the y budget,
-uniform output points in y, and the loss of graphicality, where |psi|
-reaches the slope ceiling.  Trajectories are reported in y up to that
-point.  The curve is then followed past the vertical, unrecorded, until
-the curvature changes sign or the turning on the current arc of constant
-curvature sign is observed above pi.  A run thus ends with the budget
-exhausted or with a breakdown certificate: an excess-turning witness
-(the observed turning and its arc), graphicality loss (the slope at the
-event), or a numerical failure (non-finite state, step underflow).
+result does not depend on the batch.  The pair's native dense output
+and one root-finder locate every event: the y budget and the loss of
+graphicality, where |psi| reaches the slope ceiling.  Trajectories are
+reported up to that point; ``sample_h`` reads them off the dense output
+at uniform points in arc length.  The curve is then followed past the
+vertical, unrecorded, until the curvature changes sign or the turning on
+the current arc of constant curvature sign is observed above pi.  A run
+thus ends with the budget exhausted or with a breakdown certificate: an
+excess-turning witness (the observed turning and its arc), graphicality
+loss (the slope at the event), or a numerical failure (non-finite
+state, step underflow).
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ class IntegratorOptions:
     slope_ceiling: float = 1e6
     theta_sample: float = 0.01
     triviality_tol: float = 1e-9
-    # Uniform output spacing; overrides theta-resolved sampling so that
-    # finite-difference identity checks see an exactly uniform grid.
+    # Uniform output spacing in arc length; overrides theta-resolved
+    # sampling so that finite-difference identity checks see a uniform grid.
     sample_h: Optional[float] = None
 
     def validate(self) -> None:
@@ -443,22 +444,22 @@ class _Lane:
     depend on the batch it runs in.
     """
 
-    __slots__ = ("init", "direction", "y_budget", "opts", "store", "theta_c", "y_final",
-                 "s", "u", "h", "samples", "blocks", "grid_i", "theta0", "max_abs_k",
+    __slots__ = ("direction", "y_budget", "opts", "store", "theta_c", "y_final",
+                 "s", "u", "h", "samples", "blocks", "grid_j", "theta0", "max_abs_k",
                  "max_turning",
                  "run_sign", "run_s", "run_theta", "event", "event_s", "certificate")
 
-    def __init__(self, u, init, direction, y_budget, opts, store, theta_c):
-        self.init, self.direction, self.y_budget = init, direction, y_budget
+    def __init__(self, u, direction, y_budget, opts, store, theta_c):
+        self.direction, self.y_budget = direction, y_budget
         self.opts, self.store, self.theta_c = opts, store, theta_c
-        self.y_final = init.y + direction * y_budget
+        self.y_final = u[0] + direction * y_budget
         self.s, self.u = 0.0, u
         self.h = direction * min(opts.initial_step, opts.max_step)
         self.samples = [(0.0, *u)]
         # full blocks of samples as arrays: 8 bytes a number rather than a
         # float object's 24, while the lanes of a batch all store theirs
         self.blocks = []
-        self.grid_i = 0  # index of the last uniform sample
+        self.grid_j = 1  # index of the next uniform sample
         self.theta0 = u[2]
         self.max_abs_k, self.max_turning = abs(u[3]), 0.0
         # the current run of constant curvature sign starts at (run_s, run_theta)
@@ -531,19 +532,15 @@ class _Lane:
                     samples.append((s + t * h, *_at(coefs, t)))
                 samples.append((s_end, *u_end))
             elif self.store:
-                # uniform grid in y, which is monotone on the graphical part
-                y0, grid_i = self.init.y, self.grid_i
-                while True:
-                    target = y0 + direction * (grid_i + 1) * sample_h
-                    gap = direction * (u_end[0] - target)
-                    if gap < 0.0:
-                        break
+                # uniform grid in arc length, the variable the steps advance:
+                # sample j lies at S = direction j sample_h
+                j = self.grid_j
+                while direction * s_end >= j * sample_h:
                     coefs = coefs or _dense(u, u1, ks, h)
-                    t = _root(lambda t: direction * (_poly(coefs[0], t) - target), t_end, gap)
-                    x = u_end if t == t_end else _at(coefs, t)
-                    samples.append((s + t * h, target, *x[1:]))
-                    grid_i += 1
-                self.grid_i = grid_i
+                    target = direction * j * sample_h
+                    samples.append((target, *_at(coefs, (target - s) / h)))
+                    j += 1
+                self.grid_j = j
             if len(samples) >= 64:
                 self.blocks.append(np.array(samples))
                 samples.clear()
@@ -623,7 +620,7 @@ def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
     f = vector_field(kind)
     atol, rtol = opts.abs_tol, opts.rel_tol
     theta_c = _critical_angle(opts.slope_ceiling)
-    runs = [_Lane(_initial_state(kind, init), init, direction, y_budget, opts, store, theta_c)
+    runs = [_Lane(_initial_state(kind, init), direction, y_budget, opts, store, theta_c)
             for init, direction in lanes]
     active = runs
     u = np.array([r.u for r in runs]).T.copy()

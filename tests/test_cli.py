@@ -194,6 +194,23 @@ def test_verify_records_pass_by_their_own_threshold(tmp_path):
     assert verdicts == [("steady_w", False), ("steady_k", True), ("reduction", True)]
 
 
+@pytest.mark.parametrize("kind", [["selfsimilar"], ["travelling", "--a", "1", "--b", "0.5"]])
+def test_verify_passes_a_breakdown_profile(tmp_path, kind):
+    # every record is differenced in arc length, so it follows the profile into
+    # the vertical tangent where it ends; differenced in y, both files failed
+    shoot = ["shoot", *kind, "--init", "0.3,0.2,0.4,0.1", "--budget", "5"]
+    assert run([*shoot, "--sample-h", "0.001", "--out", tmp_path / "s"]) == 0
+    assert json.loads((tmp_path / "s" / "report.json").read_text())["outcome"] == "breakdown"
+    files = [tmp_path / "s" / f"trajectory_{d}.csv" for d in ("fwd", "bwd")]
+    assert run(["verify", *files, "--out", tmp_path / "v"]) == 0
+    reports = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"]
+    checks = [c for entry in reports for c in entry["checks"]]
+    assert len(checks) == 6 and all(c["pass"] is True for c in checks), checks
+    # the theta-resolved default grid is not uniform in S: a parse error
+    assert run([*shoot, "--out", tmp_path / "d"]) == 0
+    assert run(["verify", tmp_path / "d" / "trajectory_fwd.csv", "--out", tmp_path / "v2"]) == 65
+
+
 def with_column(src, dst, col, fn):
     """Copy the trajectory file ``src`` to ``dst`` with ``fn`` applied to
     column ``col`` of every row."""

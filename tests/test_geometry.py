@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdflow.geometry import GraphField, speed, surface_diffusion_operator
+from sdflow.geometry import GraphField, surface_diffusion_operator
 from sdflow.geometry import _d1, _d2
 
 
@@ -24,18 +24,6 @@ def symbolic_operator(A, eps, L, harmonics=((1.0, 1.0),)):
     k = sp.diff(u, x, 2) / v**3
     expr = -sp.diff(sp.diff(k, x) / v, x)
     return sp.lambdify(x, expr, "numpy")
-
-
-def test_speed_examples():
-    assert speed(0.0) == 1.0
-    assert speed(1.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert speed(-3.0) == pytest.approx(math.sqrt(10.0), abs=1e-15)
-
-
-def test_speed_at_least_one():
-    rng = np.random.default_rng(1)
-    psi = rng.standard_cauchy(10000)
-    assert np.all(speed(psi) >= 1.0)
 
 
 def _field(n, L, A, w):

@@ -194,45 +194,41 @@ def test_identity_report_rejects_a_residual_that_is_not_finite_and_nonnegative(r
 
 # ---------------------------------------------- reference formulas, bit for bit
 
-def reference_weighted_second(y, v, F):
-    h = float(np.diff(y)[0])
-    g = (F[2:] - F[:-2]) / (2.0 * h) / v[1:-1]
-    return (g[2:] - g[:-2]) / (2.0 * h) / v[2:-2]
+def reference_d_ds(f, S):
+    hm, hp = np.diff(S)[:-1], np.diff(S)[1:]
+    return (-(hp**2) * f[:-2] + (hp**2 - hm**2) * f[1:-1] + hm**2 * f[2:]) / (hm * hp * (hm + hp))
 
 
-def reference_q(traj):
-    """(max residual, y at max, min lhs) with Q written out, worse of two constant sets."""
-    y, phi, k, w, S = traj.y, traj.phi, traj.k, traj.w, traj.S
-    v = np.sqrt(1.0 + traj.psi**2)
-    phi0 = float(phi[np.argmin(np.abs(y))])
-    worst = None
-    for c1, c2 in ((0.0, 0.0), (-0.25 * phi0 * phi0, -0.5 * abs(phi0))):
-        Q = k * k + c1 + c2 * S + 0.25 * (y * y + phi * phi) - 0.25 * S * S
-        lhs = reference_weighted_second(y, v, Q)
-        res = np.abs(lhs - 2.0 * w[2:-2] ** 2)
-        i = int(np.argmax(res))
-        if worst is None or res[i] > worst[0]:
-            worst = (float(res[i]), float(y[2:-2][i]), float(np.min(lhs)))
-    return worst
+def reference_convexity(traj, terms):
+    """(max residual, y at max, min lhs), the lhs summing each term's nested
+    first differences in S."""
+    S = traj.S
+    lhs = 0
+    for F in terms:
+        lhs = lhs + reference_d_ds(reference_d_ds(F, S), S[1:-1])
+    res = np.abs(lhs - 2.0 * traj.w[2:-2] ** 2)
+    i = int(np.argmax(res))
+    return float(res[i]), float(traj.y[2:-2][i]), float(np.min(lhs))
+
+
+def reference_q(traj, c2=0.0):
+    """Q written out term by term; c1 drops out."""
+    y, phi, k, S = traj.y, traj.phi, traj.k, traj.S
+    return reference_convexity(traj, (k * k, c2 * S, 0.25 * (y * y), 0.25 * (phi * phi),
+                                      -0.25 * (S * S)))
 
 
 def reference_m(traj, a, b):
-    y, w = traj.y, traj.w
-    v = np.sqrt(1.0 + traj.psi**2)
-    lhs = reference_weighted_second(y, v, traj.k * traj.k + 2.0 * (a * y + b * traj.phi))
-    res = np.abs(lhs - 2.0 * w[2:-2] ** 2)
-    i = int(np.argmax(res))
-    return float(res[i]), float(y[2:-2][i]), float(np.min(lhs))
+    return reference_convexity(traj, (traj.k * traj.k, 2.0 * a * traj.y, 2.0 * b * traj.phi))
 
 
 def reference_tangential(traj, a, b):
-    y, psi = traj.y, traj.psi
-    v = np.sqrt(1.0 + psi**2)
-    F = (a + b * psi) / v
-    lhs = (F[2:] - F[:-2]) / (2.0 * float(np.diff(y)[0]))
-    res = np.abs(lhs - traj.k[1:-1] * (b - a * psi[1:-1]))
+    theta = np.arctan(traj.psi)
+    c, s = np.cos(theta), np.sin(theta)
+    lhs = reference_d_ds(a * c + b * s, traj.S)
+    res = np.abs(lhs - traj.k[1:-1] * (b * c[1:-1] - a * s[1:-1]))
     i = int(np.argmax(res))
-    return float(res[i]), float(y[1:-1][i])
+    return float(res[i]), float(traj.y[1:-1][i])
 
 
 def reference_q_bound(traj):
@@ -244,12 +240,13 @@ def reference_q_bound(traj):
 
 
 def noisy_trajectory(kind, n, seed, direction, h):
-    """Uniform y grid with random columns; the identities need not hold."""
+    """Uniform S grid, as ``sample_h`` writes it, with random columns; the
+    identities need not hold."""
     rng = np.random.default_rng(seed)
     phi, psi, k, w = rng.normal(size=(4, n)) * rng.uniform(0.1, 10.0, size=(4, 1))
-    S = np.cumsum(np.abs(rng.normal(size=n))) * direction * h
-    return Trajectory(kind, direction, rng.uniform(-1, 1) + direction * h * np.arange(n),
-                      phi, psi, k, w, S, "completed", None, DENSE, 0.0, 0.0)
+    y = rng.uniform(-1, 1) + np.cumsum(np.abs(rng.normal(size=n))) * direction * h
+    return Trajectory(kind, direction, y, phi, psi, k, w, direction * h * np.arange(n),
+                      "completed", None, DENSE, 0.0, 0.0)
 
 
 trajectory_args = dict(
@@ -261,11 +258,14 @@ trajectory_args = dict(
 
 
 @settings(max_examples=100, deadline=None)
-@given(**trajectory_args)
-def test_q_checks_match_reference_bit_for_bit(n, seed, direction, h):
+@given(**trajectory_args, c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0))
+def test_q_checks_match_reference_bit_for_bit(n, seed, direction, h, c1, c2):
     traj = noisy_trajectory(SELFSIM, n, seed, direction, h)
     rep = convexity_residual_q(traj)
     assert (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"]) == reference_q(traj)
+    rep = convexity_residual_q(traj, QParams(c1, c2))
+    got = (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"])
+    assert got == reference_q(traj, c2)
     assert q_upper_bound_residual(traj) == reference_q_bound(traj)
 
 

@@ -294,12 +294,12 @@ def test_sample_initial_state_respects_bounds():
 def test_uniform_grid_lies_on_the_circle():
     # constant curvature b from a horizontal tangent at the origin traces the
     # circle of radius 1/b about (0, 1/b), with S the angle swept over b; the
-    # grid points come from root-finding y on the dense output
+    # grid points are the dense output at S = j h, up to the vertical at S = pi
     b = 0.5
     traj = integrate(STEADY, ProfileState.initial(k=b), 1, 200.0, IntegratorOptions(sample_h=1e-2))
     assert traj.outcome == "breakdown"
-    assert traj.n == 201
-    assert np.allclose(np.diff(traj.y), 1e-2, rtol=1e-12, atol=0.0)
+    assert traj.n == 315
+    assert np.allclose(np.diff(traj.S), 1e-2, rtol=1e-12, atol=0.0)
     assert np.max(np.abs(np.hypot(traj.y, traj.phi - 1.0 / b) - 1.0 / b)) <= 1e-8
     assert np.max(np.abs(np.arctan2(traj.y, 1.0 / b - traj.phi) / b - traj.S)) <= 1e-8
 
