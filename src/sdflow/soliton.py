@@ -26,14 +26,19 @@ as numpy arrays; each lane keeps its own step size and events, so its
 result does not depend on the batch.  The pair's native dense output
 and one root-finder locate every event: the y budget and the loss of
 graphicality, where |psi| reaches the slope ceiling.  Trajectories are
-reported up to that point; ``sample_h`` reads them off the dense output
-at uniform points in arc length.  The curve is then followed past the
-vertical, unrecorded, until the curvature changes sign or the turning on
-the current arc of constant curvature sign is observed above pi.  A run
-thus ends with the budget exhausted or with a breakdown certificate: an
-excess-turning witness (the observed turning and its arc), graphicality
-loss (the slope at the event), or a numerical failure (non-finite
-state, step underflow).
+reported up to that point, at equal sub-steps resolving the tangent
+angle, which are evaluated over the whole batch on a step without an
+event, or with ``sample_h`` at uniform points in arc length.  The curve
+is then followed past the vertical, unrecorded, until the curvature
+changes sign or the turning on the current arc of constant curvature
+sign is observed above pi.  A run thus ends with the budget exhausted or
+with a breakdown certificate: an excess-turning witness (the observed
+turning and its arc), graphicality loss (the slope at the event), or a
+numerical failure (non-finite state, step underflow).
+
+A seeded sweep shoots one contiguous block of states per worker, at most
+one per CPU: the first in the calling process, each other in a child
+forked for it, which sends its reports back through a pipe.
 """
 
 from __future__ import annotations
@@ -319,6 +324,7 @@ _D = (
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
 )
+_D_COLUMN = np.array(_D)[:, None, None]
 
 
 def _slope(f, u, out) -> None:
@@ -379,6 +385,34 @@ def _dense(u, u1, ks, h) -> list:
         coefs.append((x, diff, bspl, diff - h * ks[6][i] - bspl,
                       h * sum(d * k[i] for d, k in zip(_D, ks))))
     return coefs
+
+
+def _substep_rows(u, u1, ks, h, s, n):
+    """Rows (S, *state) of n[l] equal sub-steps of each lane l's whole step.
+
+    u, u1 (6, L) are the states at the step's ends, ks (7, 6, L) its stage
+    slopes, h, s (L,) its size and start and n (L,) the sub-step counts.
+    Lane l's rows are the extension at t = j / n[l] for 0 < j < n[l], then
+    the end state at S = s + h: rows[ends[l] - max(n[l], 1):ends[l]].  Every
+    number takes the float operations of ``_dense`` and ``_at`` in their
+    order, elementwise over the rows.
+    """
+    diff = u1 - u
+    bspl = h * ks[0] - diff
+    coefs = np.stack((u, diff, bspl, diff - h * ks[6] - bspl, h * _fold(_D_COLUMN, ks)))
+    counts = np.maximum(n, 1)
+    ends = np.cumsum(counts)
+    lane = np.repeat(np.arange(n.size), counts)
+    j = np.arange(ends[-1]) - (ends - counts)[lane] + 1
+    t = (1.0 * j) / counts[lane]
+    t1 = 1.0 - t
+    x, diff, bspl, c3, c4 = coefs[:, :, lane]
+    rows = np.empty((t.size, 7))
+    rows[:, 0] = s[lane] + t * h[lane]
+    rows[:, 1:] = (x + t * (diff + t1 * (bspl + t * (c3 + t1 * c4)))).T
+    # a lane's last row has t = 1, so its S is s + h already
+    rows[ends - 1, 1:] = u1.T
+    return rows, ends
 
 
 def _poly(c, t: float) -> float:
@@ -445,8 +479,8 @@ class _Lane:
     """
 
     __slots__ = ("direction", "y_budget", "opts", "store", "theta_c", "y_final",
-                 "s", "u", "h", "samples", "blocks", "grid_j", "theta0", "max_abs_k",
-                 "max_turning",
+                 "s", "u", "h", "samples", "blocks", "pending", "grid_j", "theta0",
+                 "max_abs_k", "max_turning",
                  "run_sign", "run_s", "run_theta", "event", "event_s", "certificate")
 
     def __init__(self, u, direction, y_budget, opts, store, theta_c):
@@ -459,6 +493,9 @@ class _Lane:
         # full blocks of samples as arrays: 8 bytes a number rather than a
         # float object's 24, while the lanes of a batch all store theirs
         self.blocks = []
+        # (s, n) of an accepted whole step whose n equal sub-steps the batch
+        # evaluates for every lane at once, or None
+        self.pending = None
         self.grid_j = 1  # index of the next uniform sample
         self.theta0 = u[2]
         self.max_abs_k, self.max_turning = abs(u[3]), 0.0
@@ -478,8 +515,8 @@ class _Lane:
                                {"slope": math.tan(self.event[2]),
                                 "ceiling": self.opts.slope_ceiling})
 
-    def advance(self, u1, err, finite, ks) -> Optional[bool]:
-        """Take or reject the step to u1 with stage slopes ks (7, 6).
+    def advance(self, u1, err, finite, ks, m) -> Optional[bool]:
+        """Take or reject the step to u1 with stage slopes ks[:, :, m].
 
         Returns True if the step was accepted, False if it was rejected,
         and None once the lane has ended.
@@ -506,14 +543,14 @@ class _Lane:
             t_end, stop = 1.0, None
             theta_c = self.theta_c
             if abs(u1[2]) >= theta_c:
-                coefs = _dense(u, u1, ks, h)
+                coefs = _dense(u, u1, ks[:, :, m], h)
                 t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
                               abs(u1[2]) - theta_c)
                 stop = "graphicality"
             y_final = self.y_final
             gap = direction * (u1[0] - y_final)
             if gap >= 0.0:
-                coefs = coefs or _dense(u, u1, ks, h)
+                coefs = coefs or _dense(u, u1, ks[:, :, m], h)
                 t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
                 if t <= t_end:
                     t_end, stop = t, "budget"
@@ -526,17 +563,20 @@ class _Lane:
             if self.store and sample_h is None:
                 # equal sub-steps resolving the tangent angle to theta_sample
                 n = math.ceil(abs(u_end[2] - u[2]) / opts.theta_sample)
-                for j in range(1, n):
-                    coefs = coefs or _dense(u, u1, ks, h)
-                    t = t_end * j / n
-                    samples.append((s + t * h, *_at(coefs, t)))
-                samples.append((s_end, *u_end))
+                if stop is None:
+                    # a whole step: the batch evaluates its rows (_substep_rows)
+                    self.pending = (s, n)
+                else:
+                    for j in range(1, n):
+                        t = t_end * j / n
+                        samples.append((s + t * h, *_at(coefs, t)))
+                    samples.append((s_end, *u_end))
             elif self.store:
                 # uniform grid in arc length, the variable the steps advance:
                 # sample j lies at S = direction j sample_h
                 j = self.grid_j
                 while direction * s_end >= j * sample_h:
-                    coefs = coefs or _dense(u, u1, ks, h)
+                    coefs = coefs or _dense(u, u1, ks[:, :, m], h)
                     target = direction * j * sample_h
                     samples.append((target, *_at(coefs, (target - s) / h)))
                     j += 1
@@ -545,8 +585,12 @@ class _Lane:
                 self.blocks.append(np.array(samples))
                 samples.clear()
 
-            self.max_abs_k = max(self.max_abs_k, abs(u_end[3]))
-            self.max_turning = max(self.max_turning, abs(u_end[2] - self.theta0))
+            k = abs(u_end[3])
+            if k > self.max_abs_k:
+                self.max_abs_k = k
+            turning = abs(u_end[2] - self.theta0)
+            if turning > self.max_turning:
+                self.max_turning = turning
             if stop == "budget":
                 return None
             if stop == "graphicality":
@@ -556,7 +600,8 @@ class _Lane:
         # until the turning on a run of constant curvature sign passes pi
         s = self.s = s + h
         self.u = u1
-        sign = _sign(u1[3])
+        k = u1[3]
+        sign = 1 if k > 0.0 else -1 if k < 0.0 else 0
         if sign and sign != self.run_sign:
             if self.run_sign and self.event is not None:
                 self.certificate = self._graphicality_loss()
@@ -575,11 +620,20 @@ class _Lane:
             if abs(s - self.event_s) > self.y_budget:
                 self.certificate = self._graphicality_loss()
                 return None
-        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
+        grow = 0.9 * err**-0.2 if err > 0 else 5.0
+        h *= grow if grow < 5.0 else 5.0
         if abs(h) > opts.max_step:
             h = direction * opts.max_step
         self.h = h
         return True
+
+    def take(self, rows) -> None:
+        """Store the rows that the batch evaluated for the pending step."""
+        if self.samples:
+            self.blocks.append(np.array(self.samples))
+            self.samples.clear()
+        self.blocks.append(rows)
+        self.pending = None
 
     def trajectory(self, kind: SolitonKind) -> Trajectory:
         rows = np.concatenate([*self.blocks, np.array(self.samples).reshape(-1, 7)])
@@ -629,16 +683,27 @@ def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
     with np.errstate(all="ignore"):
         _slope(f, u, ks[0])
         while active:
-            u1, ratio = _step(f, u, ks, np.array([r.h for r in active]), atol, rtol)
+            h = np.array([r.h for r in active])
+            u1, ratio = _step(f, u, ks, h, atol, rtol)
             errs = _errors(ratio)
             finite = np.isfinite(u1).all(axis=0).tolist()
-            keep, accepted = [], []
+            keep, accepted, sampled = [], [], []
             for m, (run, lane_u1, err) in enumerate(zip(active, u1.T.tolist(), errs)):
-                status = run.advance(lane_u1, err, finite[m] and math.isfinite(err),
-                                     ks[:, :, m])
+                status = run.advance(lane_u1, err, finite[m] and math.isfinite(err), ks, m)
                 if status is not None:
                     keep.append(m)
                     accepted.append(status)
+                    if run.pending is not None:
+                        sampled.append(m)
+            if sampled:
+                runs_s = [active[m] for m in sampled]
+                s, n = zip(*(r.pending for r in runs_s))
+                rows, ends = _substep_rows(u[:, sampled], u1[:, sampled], ks[:, :, sampled],
+                                           h[sampled], np.array(s), np.array(n))
+                start = 0
+                for run, end in zip(runs_s, ends.tolist()):
+                    run.take(rows[start:end])
+                    start = end
             if len(keep) < len(active):
                 active = [active[m] for m in keep]
                 u, u1, ks = u[:, keep], u1[:, keep], ks[:, :, keep]
@@ -814,6 +879,20 @@ def _sweep_block(args) -> list:
                        IntegratorOptions(**opts_dict), store=False, seed=seed)
 
 
+def _sweep_child(job, fd) -> None:
+    """Shoot one block in a forked child; write its pickled reports, or its
+    exception, to the pipe ``fd``, which closes when the child exits."""
+    import pickle
+
+    try:
+        result = (True, _sweep_block(job))
+    except Exception as exc:
+        result = (False, exc)
+    data = pickle.dumps(result)
+    with open(fd, "wb", closefd=False) as pipe:
+        pipe.write(data)
+
+
 def run_sweep(
     kind: SolitonKind,
     count: int,
@@ -826,20 +905,51 @@ def run_sweep(
 
     Run i uses the PRNG stream (seed, i), and a lane's result does not
     depend on its batch, so results do not depend on worker count or
-    scheduling.  The states are split into ``workers`` contiguous blocks,
-    each shot as one batch, on a pool of at most one process per CPU.
+    scheduling.  The states are split into one contiguous block per
+    worker, at most one per CPU, each shot as one batch: the caller shoots
+    the first while one forked child per other block shoots its own.
     """
     if opts is None:
         opts = IntegratorOptions()
-    workers = max(1, min(workers, count))
-    bounds = [count * i // workers for i in range(workers + 1)]
+    blocks = max(1, min(workers, count, os.cpu_count() or 1))
+    bounds = [count * i // blocks for i in range(blocks + 1)]
     jobs = [(kind.name, kind.a, kind.b, seed, lo, hi, y_budget, asdict(opts))
             for lo, hi in zip(bounds, bounds[1:])]
     if len(jobs) == 1:
         return _sweep_block(jobs[0])
-    # imported here, so that commands without a pool never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here, so that commands with one block never load multiprocessing;
+    # fork, explicitly, shares the loaded modules with the children
+    import multiprocessing
+    import pickle
 
-    # fork starts every worker at once, so never more than there are CPUs
-    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        return [report for block in pool.map(_sweep_block, jobs) for report in block]
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for job in jobs[1:]:
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            child = fork.Process(target=_sweep_child, args=(job, write))
+            try:
+                child.start()
+            finally:
+                os.close(write)
+            children.append((child, pipe))
+        reports = _sweep_block(jobs[0])
+        for i, (child, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            child.join()
+            if not data:
+                lo, hi = bounds[i], bounds[i + 1]
+                raise RuntimeError(f"sweep block {i} (states {lo} to {hi - 1}) exited with "
+                                   f"code {child.exitcode} without sending its reports")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            reports += result
+        return reports
+    finally:
+        for child, pipe in children:
+            pipe.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()

@@ -16,8 +16,11 @@ from sdflow.soliton import (
     Trajectory,
     _A,
     _E,
+    _at,
+    _dense,
     _errors,
     _step,
+    _substep_rows,
     integrate,
     run_sweep,
     sample_initial_state,
@@ -440,6 +443,32 @@ def test_lane_error_is_pythons_max(columns):
     assert _bits(_errors(ratio)) == _bits([max(col) for col in columns])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[_component] * 6), st.tuples(*[_component] * 6),
+                          st.tuples(*[st.tuples(*[_component] * 6)] * 7),
+                          st.sampled_from([1.0, -1.0, -0.0]) | st.floats(-1.0, 1.0),
+                          _component, st.sampled_from([0, 1, 2]) | st.integers(0, 2000)),
+                min_size=1, max_size=5))
+# the end row is the end state itself: the extension at t = 1 reads +0.0
+# where the state is -0.0
+@example([((0.0,) * 6, (-0.0,) * 6, ((0.0,) * 6,) * 7, 1.0, -0.0, 0)])
+def test_batch_substeps_match_dense_output_bit_for_bit(lanes):
+    # the whole-step rows the batch evaluates at once are those that
+    # _Lane.advance takes one by one on an event step
+    u, u1, ks, h, s, n = (np.array(column) for column in zip(*lanes))
+    rows, ends = _substep_rows(u.T, u1.T, ks.transpose(1, 2, 0), h, s, n)
+    start = 0
+    for (lu, lu1, lks, lh, ls, ln), end in zip(lanes, ends.tolist(), strict=True):
+        coefs, t_end, expected = _dense(lu, lu1, np.array(lks), lh), 1.0, []
+        for j in range(1, ln):
+            t = t_end * j / ln
+            expected.append((ls + t * lh, *_at(coefs, t)))
+        expected.append((ls + t_end * lh, *lu1))
+        assert _bits(rows[start:end]) == _bits(expected)
+        start = end
+    assert start == rows.shape[0]
+
+
 def _assert_same_report(a, b):
     assert report_json(a) == report_json(b)
     for ta, tb in ((a.forward, b.forward), (a.backward, b.backward)):
@@ -529,33 +558,77 @@ def test_reports_invariant_to_batch_size_and_workers(kind):
 
 
 def test_sweep_pool_never_exceeds_the_cpus(monkeypatch):
-    # fork starts every worker of a pool at once; blocks stay one per
-    # requested worker, so the reports do not change
-    import concurrent.futures
+    # fork starts every child at once, so a sweep runs at most one block per
+    # CPU: the caller's and one child's per other block; the reports stay
+    # those of one batch
+    import multiprocessing
 
-    sizes = []
+    started = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InProcess:
+        """A child that runs its target in the caller when started."""
 
-        def __enter__(self):
-            return self
+        exitcode = 0
 
-        def __exit__(self, *exc):
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
+
+        def is_alive(self):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool, raising=False)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", InProcess)
     expected = [report_json(r) for r in run_sweep(STEADY, 7, 3, workers=1)]
-    for cpus, workers, size in [(2, 2, 2), (2, 3, 2), (2, 7, 2), (2, 5000, 2), (8, 3, 3),
-                                (None, 4, 1)]:
+    assert started == []
+    for cpus, workers, children in [(2, 2, 1), (2, 3, 1), (2, 7, 1), (2, 5000, 1), (8, 3, 2),
+                                    (None, 4, 0)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert [report_json(r) for r in run_sweep(STEADY, 7, 3, workers=workers)] == expected
-        assert sizes.pop() == size
-    assert sizes == []
+        assert len(started) == children
+        assert len(started) + 1 <= (cpus or 1)
+        started.clear()
+
+
+def _failing_block(how):
+    """A sweep block that fails in every block but the caller's (``how``)."""
+    from sdflow import soliton
+
+    shoot = soliton._sweep_block
+
+    def block(job):
+        start = job[4]
+        if how == "caller" and start == 0:
+            raise ValueError("the caller's block failed")
+        if how == "raise" and start > 0:
+            raise ValueError(f"block from state {start} failed")
+        if how == "exit" and start > 0:
+            os._exit(1)
+        return shoot(job)
+
+    return block
+
+
+@pytest.mark.parametrize("how, error, message", [
+    ("raise", ValueError, "block from state 2 failed"),
+    ("exit", RuntimeError, r"sweep block 1 \(states 2 to 3\) exited with code 1"),
+    ("caller", ValueError, "the caller's block failed"),
+])
+def test_sweep_block_failure_reaches_the_caller(monkeypatch, how, error, message):
+    import multiprocessing
+
+    from sdflow import soliton
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(soliton, "_sweep_block", _failing_block(how))
+    with pytest.raises(error, match=message):
+        run_sweep(STEADY, 4, 3, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("sample_h", [None, 0.01])

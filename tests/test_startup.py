@@ -2,7 +2,7 @@
 
 Shooting, sweeps, verification and the graph flow need only numpy;
 scipy is imported where the curve flow first solves, and
-the process pool's modules where a sweep starts its workers.
+multiprocessing where a sweep forks a child for a block of states.
 """
 
 import json
@@ -58,15 +58,21 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
 
 
 def test_only_sweeps_load_the_process_pool(tmp_path):
-    pool = "concurrent.futures.process"
+    # no command loads the executor; only a sweep of more than one block,
+    # one per worker up to the CPU count, loads multiprocessing
+    pool, fork = "concurrent.futures.process", "multiprocessing"
     shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--out", tmp_path / "s"]
     assert main([str(a) for a in shoot]) == 0
     verify = ["verify", tmp_path / "s" / "trajectory_fwd.csv", "--out", tmp_path / "v"]
     graph = ["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 2, "--out", tmp_path / "g"]
-    for code in ["import sdflow.cli", main_call(shoot), main_call(verify), main_call(graph)]:
-        assert pool not in modules_after(code), code
-    sweep = ["sweep", "selfsimilar", "--count", 4, "--workers", 2, "--out", tmp_path / "w"]
-    assert pool in modules_after(main_call(sweep))
+    sweep = ["sweep", "selfsimilar", "--count", 4, "--out", tmp_path / "w"]
+    for code in ["import sdflow.cli", main_call(shoot), main_call(verify), main_call(graph),
+                 main_call(sweep)]:
+        loaded = modules_after(code)
+        assert pool not in loaded and fork not in loaded, code
+    loaded = modules_after(main_call(sweep[:-2] + ["--workers", 2, "--out", tmp_path / "w2"]))
+    assert pool not in loaded
+    assert (fork in loaded) == ((os.cpu_count() or 1) > 1)
 
 
 def test_curve_flow_loads_scipy(tmp_path):
