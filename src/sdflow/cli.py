@@ -315,22 +315,26 @@ def _cmd_flow_graph(parser, args) -> int:
 
 
 def _seed_curve(parser, args) -> curveflow.ClosedCurve:
-    """The seed shape (bad values are usage errors), or the --input curve
-    at equal arc length on its polygon (an unusable file is a parse error)."""
+    """The seed shape of --n vertices (bad values are usage errors), or the
+    --input curve at equal arc length on its polygon, with as many vertices
+    as the file (an unusable file is a parse error)."""
     if args.input:
+        if args.n is not None:
+            parser.error("--input keeps the file's vertex count; --n sets a seed's")
         try:
             curve = curveflow.ClosedCurve.from_csv(Path(args.input).read_text())
             return curveflow.resample_uniform(curve)
         except (OSError, ValueError) as exc:
             print(f"flow-curve: {exc}", file=sys.stderr)
             raise SystemExit(PARSE_ERROR)
+    n = 512 if args.n is None else args.n
     try:
         if args.seed_shape == "lemniscate":
-            return curveflow.seed_lemniscate(args.n)
+            return curveflow.seed_lemniscate(n)
         if args.seed_shape == "circle":
-            return curveflow.seed_circle(args.kappa, args.n)
+            return curveflow.seed_circle(args.kappa, n)
         if args.seed_shape == "ellipse":
-            return curveflow.seed_ellipse(args.major, args.minor, args.n)
+            return curveflow.seed_ellipse(args.major, args.minor, n)
     except ValueError as exc:
         parser.error(str(exc))
     parser.error("choose --seed lemniscate|circle|ellipse or --input FILE")
@@ -338,6 +342,7 @@ def _seed_curve(parser, args) -> curveflow.ClosedCurve:
 
 def _cmd_flow_curve(parser, args) -> int:
     curve = _seed_curve(parser, args)
+    args.n = curve.n  # the config echoes the vertex count the run used
     result = curveflow.flow(curve, dt=args.dt, t_end=args.t_end, frames=args.frames)
     _write_frames(_out_dir(args), args, "curve", result.frames,
                   lambda t, name, mon: {"t": t, "file": name, **mon},
@@ -401,7 +406,8 @@ def build_parser():
                    default=None)
     p.add_argument("--input", default=None,
                    help="curve frame CSV (header x,y, closed implied), resampled to equal arcs")
-    p.add_argument("--n", type=int, default=512)
+    p.add_argument("--n", type=int, default=None,
+                   help="vertices of the seed shape (default 512); not with --input")
     p.add_argument("--kappa", type=_finite, default=2.0)
     p.add_argument("--major", type=_finite, default=1.0)
     p.add_argument("--minor", type=_finite, default=0.5)

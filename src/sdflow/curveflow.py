@@ -362,13 +362,11 @@ def _bgn_step(pts: np.ndarray, dt: float, chords=None):
     return x[kappa_pos], pts + x[xy_pos].reshape(n, 2)
 
 
-def flow(
-    c: ClosedCurve,
-    dt: float,
-    t_end: float,
-    extinction_frac: float = 0.05,
-    frames: int = 64,
-) -> FlowResult:
+# a curve is extinct once its diameter falls below this fraction of its first
+_EXTINCTION_FRAC = 0.05
+
+
+def flow(c: ClosedCurve, dt: float, t_end: float, frames: int = 64) -> FlowResult:
     """Evolve a closed curve by curve diffusion until t_end or extinction.
 
     The curve's own vertices are advanced by the parametric scheme of
@@ -376,7 +374,7 @@ def flow(
     dt, shortened only to land on the frame times.  The scheme never
     increases polygon length and keeps the vertices well spaced by itself,
     so ``c`` is not resampled: frame 0 is ``c``.  The curve is declared
-    extinct when its diameter falls below ``extinction_frac`` of the
+    extinct when its diameter falls below ``_EXTINCTION_FRAC`` of the
     initial diameter.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
@@ -385,7 +383,7 @@ def flow(
         raise ValueError("frames must be at least 1")
 
     d0 = c.diameter()
-    threshold = extinction_frac * d0
+    threshold = _EXTINCTION_FRAC * d0
     min_edge = 1e-12 * d0
 
     def monitors(curve: ClosedCurve) -> CurveMonitors:

@@ -27,14 +27,15 @@ result does not depend on the batch.  The pair's native dense output
 and one root-finder locate every event: the y budget and the loss of
 graphicality, where |psi| reaches the slope ceiling.  Trajectories are
 reported up to that point, at equal sub-steps resolving the tangent
-angle, which are evaluated over the whole batch on a step without an
-event, or with ``sample_h`` at uniform points in arc length.  The curve
-is then followed past the vertical, unrecorded, until the curvature
-changes sign or the turning on the current arc of constant curvature
-sign is observed above pi.  A run thus ends with the budget exhausted or
-with a breakdown certificate: an excess-turning witness (the observed
-turning and its arc), graphicality loss (the slope at the event), or a
-numerical failure (non-finite state, step underflow).
+angle, or with ``sample_h`` at uniform points in arc length; every
+stored row is the dense output of its step, evaluated over the whole
+batch at once.  The curve is then followed past the vertical,
+unrecorded, until the curvature changes sign or the turning on the
+current arc of constant curvature sign is observed above pi.  A run thus
+ends with the budget exhausted or with a breakdown certificate: an
+excess-turning witness (the observed turning and its arc), graphicality
+loss (the slope at the event), or a numerical failure (non-finite state,
+step underflow).
 
 A seeded sweep shoots one contiguous block of states per worker, at most
 one per CPU: the first in the calling process, each other in a child
@@ -372,51 +373,20 @@ def _errors(ratio) -> list:
     return errs
 
 
-def _dense(u, u1, ks, h) -> list:
-    """Per-component coefficients of the continuous extension over one step.
-
-    ks is the lane's (7, 6) array of stage slopes.
-    """
-    ks = ks.tolist()
-    coefs = []
-    for i, (x, x1) in enumerate(zip(u, u1)):
-        diff = x1 - x
-        bspl = h * ks[0][i] - diff
-        coefs.append((x, diff, bspl, diff - h * ks[6][i] - bspl,
-                      h * sum(d * k[i] for d, k in zip(_D, ks))))
-    return coefs
-
-
-def _substep_rows(u, u1, ks, h, s, n):
-    """Rows (S, *state) of n[l] equal sub-steps of each lane l's whole step.
+def _extension(u, u1, ks, h):
+    """Coefficients (5, 6, L) of the continuous extension of each lane's step.
 
     u, u1 (6, L) are the states at the step's ends, ks (7, 6, L) its stage
-    slopes, h, s (L,) its size and start and n (L,) the sub-step counts.
-    Lane l's rows are the extension at t = j / n[l] for 0 < j < n[l], then
-    the end state at S = s + h: rows[ends[l] - max(n[l], 1):ends[l]].  Every
-    number takes the float operations of ``_dense`` and ``_at`` in their
-    order, elementwise over the rows.
+    slopes and h (L,) its size; ``_poly`` evaluates them.
     """
     diff = u1 - u
     bspl = h * ks[0] - diff
-    coefs = np.stack((u, diff, bspl, diff - h * ks[6] - bspl, h * _fold(_D_COLUMN, ks)))
-    counts = np.maximum(n, 1)
-    ends = np.cumsum(counts)
-    lane = np.repeat(np.arange(n.size), counts)
-    j = np.arange(ends[-1]) - (ends - counts)[lane] + 1
-    t = (1.0 * j) / counts[lane]
-    t1 = 1.0 - t
-    x, diff, bspl, c3, c4 = coefs[:, :, lane]
-    rows = np.empty((t.size, 7))
-    rows[:, 0] = s[lane] + t * h[lane]
-    rows[:, 1:] = (x + t * (diff + t1 * (bspl + t * (c3 + t1 * c4)))).T
-    # a lane's last row has t = 1, so its S is s + h already
-    rows[ends - 1, 1:] = u1.T
-    return rows, ends
+    return np.stack((u, diff, bspl, diff - h * ks[6] - bspl, h * _fold(_D_COLUMN, ks)))
 
 
-def _poly(c, t: float) -> float:
-    """One component of the continuous extension at t in [0, 1] of the step."""
+def _poly(c, t):
+    """The continuous extension at t in [0, 1] of the step, from its
+    coefficients c: one component's floats, or arrays that t broadcasts over."""
     x, diff, bspl, c3, c4 = c
     t1 = 1.0 - t
     return x + t * (diff + t1 * (bspl + t * (c3 + t1 * c4)))
@@ -424,6 +394,40 @@ def _poly(c, t: float) -> float:
 
 def _at(coefs, t: float) -> tuple:
     return tuple(_poly(c, t) for c in coefs)
+
+
+def _sample_rows(u, u1, ks, h, requests, sample_h):
+    """Stored rows (S, *state) of every requesting lane's accepted step, from
+    one evaluation of the continuous extension over the batch.
+
+    u, u1 (6, L) are the states at the steps' ends, ks (7, 6, L) their stage
+    slopes and h (L,) their sizes.  Lane l requests count rows of its step
+    from S = s, which are rows[ends[l] - count:ends[l]]:
+    - theta-resolved, (s, count, t_end, end_row): at t = (t_end j) / count
+      for 0 < j <= count and S = s + t h, the last replaced by end_row, the
+      state where the graphical part of the step ends;
+    - with ``sample_h``, (s, count, first_j): at S = (direction j) sample_h
+      for first_j <= j < first_j + count and t = (S - s) / h, where the
+      direction is the sign of h.
+    Every number takes the float operations of a scalar evaluation in their
+    order, elementwise over the rows.
+    """
+    columns = tuple(zip(*requests))
+    s, counts = np.array(columns[0]), np.array(columns[1])
+    ends = np.cumsum(counts)
+    lane = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(ends[-1]) - (ends - counts)[lane]
+    rows = np.empty((j.size, 7))
+    if sample_h is None:
+        t = (np.array(columns[2])[lane] * (j + 1)) / counts[lane]
+        rows[:, 0] = s[lane] + t * h[lane]
+    else:
+        rows[:, 0] = (np.sign(h)[lane] * (j + np.array(columns[2])[lane])) * sample_h
+        t = (rows[:, 0] - s[lane]) / h[lane]
+    rows[:, 1:] = _poly(_extension(u, u1, ks, h)[:, :, lane], t).T
+    if sample_h is None:
+        rows[ends - 1] = columns[3]
+    return rows, ends
 
 
 def _root(g, t1: float, g1: float) -> float:
@@ -473,13 +477,13 @@ def _sign(x: float) -> int:
 class _Lane:
     """Scalar control of one directional integration in a batch.
 
-    Holds the lane's step size, samples, monitors and events, and applies
+    Holds the lane's step size, stored rows, monitors and events, and applies
     each attempted step with Python floats, so a lane's result does not
     depend on the batch it runs in.
     """
 
     __slots__ = ("direction", "y_budget", "opts", "store", "theta_c", "y_final",
-                 "s", "u", "h", "samples", "blocks", "pending", "grid_j", "theta0",
+                 "s", "u", "h", "rows", "pending", "grid_j", "theta0",
                  "max_abs_k", "max_turning",
                  "run_sign", "run_s", "run_theta", "event", "event_s", "certificate")
 
@@ -489,12 +493,11 @@ class _Lane:
         self.y_final = u[0] + direction * y_budget
         self.s, self.u = 0.0, u
         self.h = direction * min(opts.initial_step, opts.max_step)
-        self.samples = [(0.0, *u)]
-        # full blocks of samples as arrays: 8 bytes a number rather than a
-        # float object's 24, while the lanes of a batch all store theirs
-        self.blocks = []
-        # (s, n) of an accepted whole step whose n equal sub-steps the batch
-        # evaluates for every lane at once, or None
+        # stored rows (S, *state): the initial state, then one array per
+        # accepted step that stores any
+        self.rows = [np.array([(0.0, *u)])]
+        # the request of an accepted step whose rows the batch evaluates
+        # (_sample_rows), or None
         self.pending = None
         self.grid_j = 1  # index of the next uniform sample
         self.theta0 = u[2]
@@ -519,7 +522,8 @@ class _Lane:
         """Take or reject the step to u1 with stage slopes ks[:, :, m].
 
         Returns True if the step was accepted, False if it was rejected,
-        and None once the lane has ended.
+        and None once the lane has ended.  An accepted step with rows to
+        store leaves their request in ``pending`` (see ``_sample_rows``).
         """
         u, h, direction, opts = self.u, self.h, self.direction, self.opts
         # the step factors take Python's float power: np.power differs from
@@ -539,51 +543,40 @@ class _Lane:
         s = self.s
         if self.event is None:
             # the graphical part ends at the first of graphicality loss and budget
-            coefs = None
             t_end, stop = 1.0, None
-            theta_c = self.theta_c
-            if abs(u1[2]) >= theta_c:
-                coefs = _dense(u, u1, ks[:, :, m], h)
-                t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
-                              abs(u1[2]) - theta_c)
-                stop = "graphicality"
-            y_final = self.y_final
+            theta_c, y_final = self.theta_c, self.y_final
             gap = direction * (u1[0] - y_final)
-            if gap >= 0.0:
-                coefs = coefs or _dense(u, u1, ks[:, :, m], h)
-                t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
-                if t <= t_end:
-                    t_end, stop = t, "budget"
+            if abs(u1[2]) >= theta_c or gap >= 0.0:
+                # the step's continuous extension on this lane, per component
+                coefs = _extension(np.array([u]).T, np.array([u1]).T, ks[:, :, m:m + 1],
+                                   h)[:, :, 0].T.tolist()
+                if abs(u1[2]) >= theta_c:
+                    t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
+                                  abs(u1[2]) - theta_c)
+                    stop = "graphicality"
+                if gap >= 0.0:
+                    t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
+                    if t <= t_end:
+                        t_end, stop = t, "budget"
             u_end = u1 if t_end == 1.0 else _at(coefs, t_end)
             s_end = s + t_end * h
             if stop == "budget":
                 u_end = (y_final, *u_end[1:])
 
-            samples, sample_h = self.samples, opts.sample_h
+            sample_h = opts.sample_h
             if self.store and sample_h is None:
                 # equal sub-steps resolving the tangent angle to theta_sample
                 n = math.ceil(abs(u_end[2] - u[2]) / opts.theta_sample)
-                if stop is None:
-                    # a whole step: the batch evaluates its rows (_substep_rows)
-                    self.pending = (s, n)
-                else:
-                    for j in range(1, n):
-                        t = t_end * j / n
-                        samples.append((s + t * h, *_at(coefs, t)))
-                    samples.append((s_end, *u_end))
+                self.pending = (s, max(n, 1), t_end, (s_end, *u_end))
             elif self.store:
                 # uniform grid in arc length, the variable the steps advance:
                 # sample j lies at S = direction j sample_h
-                j = self.grid_j
+                first = j = self.grid_j
                 while direction * s_end >= j * sample_h:
-                    coefs = coefs or _dense(u, u1, ks[:, :, m], h)
-                    target = direction * j * sample_h
-                    samples.append((target, *_at(coefs, (target - s) / h)))
                     j += 1
+                if j > first:
+                    self.pending = (s, j - first, first)
                 self.grid_j = j
-            if len(samples) >= 64:
-                self.blocks.append(np.array(samples))
-                samples.clear()
 
             k = abs(u_end[3])
             if k > self.max_abs_k:
@@ -627,16 +620,8 @@ class _Lane:
         self.h = h
         return True
 
-    def take(self, rows) -> None:
-        """Store the rows that the batch evaluated for the pending step."""
-        if self.samples:
-            self.blocks.append(np.array(self.samples))
-            self.samples.clear()
-        self.blocks.append(rows)
-        self.pending = None
-
     def trajectory(self, kind: SolitonKind) -> Trajectory:
-        rows = np.concatenate([*self.blocks, np.array(self.samples).reshape(-1, 7)])
+        rows = np.concatenate(self.rows)
         return Trajectory(
             kind=kind,
             direction=self.direction,
@@ -690,19 +675,19 @@ def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
             keep, accepted, sampled = [], [], []
             for m, (run, lane_u1, err) in enumerate(zip(active, u1.T.tolist(), errs)):
                 status = run.advance(lane_u1, err, finite[m] and math.isfinite(err), ks, m)
+                if run.pending is not None:
+                    sampled.append(m)
                 if status is not None:
                     keep.append(m)
                     accepted.append(status)
-                    if run.pending is not None:
-                        sampled.append(m)
             if sampled:
                 runs_s = [active[m] for m in sampled]
-                s, n = zip(*(r.pending for r in runs_s))
-                rows, ends = _substep_rows(u[:, sampled], u1[:, sampled], ks[:, :, sampled],
-                                           h[sampled], np.array(s), np.array(n))
+                rows, ends = _sample_rows(u[:, sampled], u1[:, sampled], ks[:, :, sampled],
+                                          h[sampled], [r.pending for r in runs_s], opts.sample_h)
                 start = 0
                 for run, end in zip(runs_s, ends.tolist()):
-                    run.take(rows[start:end])
+                    run.rows.append(rows[start:end])
+                    run.pending = None
                     start = end
             if len(keep) < len(active):
                 active = [active[m] for m in keep]
@@ -872,11 +857,9 @@ def seeded_initial_states(seed: int, start: int, stop: int) -> list:
     return [sample_initial_state(np.random.default_rng([seed, i])) for i in range(start, stop)]
 
 
-def _sweep_block(args) -> list:
-    kind_name, a, b, seed, start, stop, y_budget, opts_dict = args
+def _sweep_block(kind, seed, start, stop, y_budget, opts) -> list:
     inits = seeded_initial_states(seed, start, stop)
-    return shoot_batch(SolitonKind(kind_name, a, b), inits, y_budget,
-                       IntegratorOptions(**opts_dict), store=False, seed=seed)
+    return shoot_batch(kind, inits, y_budget, opts, store=False, seed=seed)
 
 
 def _sweep_child(job, fd) -> None:
@@ -885,7 +868,7 @@ def _sweep_child(job, fd) -> None:
     import pickle
 
     try:
-        result = (True, _sweep_block(job))
+        result = (True, _sweep_block(*job))
     except Exception as exc:
         result = (False, exc)
     data = pickle.dumps(result)
@@ -913,10 +896,9 @@ def run_sweep(
         opts = IntegratorOptions()
     blocks = max(1, min(workers, count, os.cpu_count() or 1))
     bounds = [count * i // blocks for i in range(blocks + 1)]
-    jobs = [(kind.name, kind.a, kind.b, seed, lo, hi, y_budget, asdict(opts))
-            for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [(kind, seed, lo, hi, y_budget, opts) for lo, hi in zip(bounds, bounds[1:])]
     if len(jobs) == 1:
-        return _sweep_block(jobs[0])
+        return _sweep_block(*jobs[0])
     # imported here, so that commands with one block never load multiprocessing;
     # fork, explicitly, shares the loaded modules with the children
     import multiprocessing
@@ -934,7 +916,7 @@ def run_sweep(
             finally:
                 os.close(write)
             children.append((child, pipe))
-        reports = _sweep_block(jobs[0])
+        reports = _sweep_block(*jobs[0])
         for i, (child, pipe) in enumerate(children, 1):
             data = pipe.read()
             child.join()

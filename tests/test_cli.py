@@ -496,6 +496,29 @@ def test_flow_curve_roundtrip_via_input_file(tmp_path):
     assert run(["flow-curve", "--input", short, "--out", tmp_path / "s"]) == 65
 
 
+def test_flow_curve_input_takes_the_files_vertex_count(tmp_path, capsys):
+    # --n with --input was once ignored, and the manifest still echoed it
+    assert run(["flow-curve", "--seed", "circle", "--n", 64, "--dt", "1e-3",
+                "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "c"]) == 0
+    curve_file = tmp_path / "c" / "curve_001.csv"
+    capsys.readouterr()
+    assert run(["flow-curve", "--input", curve_file, "--n", 128, "--out", tmp_path / "n"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdflow flow-curve ")
+    assert "flow-curve: error: --input keeps the file's vertex count" in err
+    assert not (tmp_path / "n").exists()
+    assert run(["flow-curve", "--input", curve_file, "--dt", "1e-3", "--t-end", 0.01,
+                "--frames", 1, "--out", tmp_path / "i"]) == 0
+    manifest = json.loads((tmp_path / "i" / "manifest.json").read_text())
+    assert manifest["config"]["n"] == 64
+    rows = (tmp_path / "i" / "curve_001.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64
+    # a seed without --n has its default 512 vertices, echoed as such
+    assert run(["flow-curve", "--seed", "circle", "--dt", "1e-3", "--t-end", 0.01,
+                "--frames", 1, "--out", tmp_path / "d"]) == 0
+    assert json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]["n"] == 512
+
+
 def readme_commands():
     """(argv, exit code) of each command in the README's "Command line" block.
 

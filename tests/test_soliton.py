@@ -15,12 +15,11 @@ from sdflow.soliton import (
     SolitonKind,
     Trajectory,
     _A,
+    _D,
     _E,
-    _at,
-    _dense,
     _errors,
+    _sample_rows,
     _step,
-    _substep_rows,
     integrate,
     run_sweep,
     sample_initial_state,
@@ -443,30 +442,80 @@ def test_lane_error_is_pythons_max(columns):
     assert _bits(_errors(ratio)) == _bits([max(col) for col in columns])
 
 
+def _scalar_extension(u, u1, ks, h):
+    """The continuous extension (DOPRI5's CONTD5) of one lane's step with
+    Python floats, per component: the reference for the batch's rows."""
+    coefs = []
+    for i, (x, x1) in enumerate(zip(u, u1)):
+        diff = x1 - x
+        bspl = h * ks[0][i] - diff
+        coefs.append((x, diff, bspl, diff - h * ks[6][i] - bspl,
+                      h * sum(d * k[i] for d, k in zip(_D, ks))))
+
+    def at(t):
+        t1 = 1.0 - t
+        return tuple(x + t * (diff + t1 * (bspl + t * (c3 + t1 * c4)))
+                     for x, diff, bspl, c3, c4 in coefs)
+
+    return at
+
+
+def _batch_rows(lanes, requests, sample_h):
+    """Rows of every lane's request, split per lane, checking the end indices."""
+    u, u1, ks, h = (np.array(column) for column in zip(*lanes))
+    rows, ends = _sample_rows(u.T, u1.T, ks.transpose(1, 2, 0), h, requests, sample_h)
+    assert ends.tolist() == np.cumsum([r[1] for r in requests]).tolist()
+    return np.split(rows, ends[:-1])
+
+
+# a step of one lane: its end states, stage slopes and size
+_lane_step = st.tuples(st.tuples(*[_component] * 6), st.tuples(*[_component] * 6),
+                       st.tuples(*[st.tuples(*[_component] * 6)] * 7),
+                       st.sampled_from([1.0, -1.0, -0.0]) | st.floats(-1.0, 1.0))
+_count = st.sampled_from([1, 2, 3]) | st.integers(1, 2000)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.tuples(*[_component] * 6), st.tuples(*[_component] * 6),
-                          st.tuples(*[st.tuples(*[_component] * 6)] * 7),
-                          st.sampled_from([1.0, -1.0, -0.0]) | st.floats(-1.0, 1.0),
-                          _component, st.sampled_from([0, 1, 2]) | st.integers(0, 2000)),
+@given(st.lists(st.tuples(_lane_step, _component, _count,
+                          st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+                          st.tuples(*[_component] * 7)),
                 min_size=1, max_size=5))
-# the end row is the end state itself: the extension at t = 1 reads +0.0
+# a whole step ends on its end state: the extension at t = 1 reads +0.0
 # where the state is -0.0
-@example([((0.0,) * 6, (-0.0,) * 6, ((0.0,) * 6,) * 7, 1.0, -0.0, 0)])
+@example([(((0.0,) * 6, (-0.0,) * 6, ((0.0,) * 6,) * 7, 1.0), -0.0, 1, 1.0, (1.0,) + (-0.0,) * 6)])
 def test_batch_substeps_match_dense_output_bit_for_bit(lanes):
-    # the whole-step rows the batch evaluates at once are those that
-    # _Lane.advance takes one by one on an event step
-    u, u1, ks, h, s, n = (np.array(column) for column in zip(*lanes))
-    rows, ends = _substep_rows(u.T, u1.T, ks.transpose(1, 2, 0), h, s, n)
-    start = 0
-    for (lu, lu1, lks, lh, ls, ln), end in zip(lanes, ends.tolist(), strict=True):
-        coefs, t_end, expected = _dense(lu, lu1, np.array(lks), lh), 1.0, []
-        for j in range(1, ln):
-            t = t_end * j / ln
-            expected.append((ls + t * lh, *_at(coefs, t)))
-        expected.append((ls + t_end * lh, *lu1))
-        assert _bits(rows[start:end]) == _bits(expected)
-        start = end
-    assert start == rows.shape[0]
+    # rows at t = (t_end j) / count, the last replaced by the end row, on
+    # whole steps (t_end = 1) and on event steps alike
+    requests = [(s, count, t_end, end_row) for _, s, count, t_end, end_row in lanes]
+    for (step, s, count, t_end, end_row), rows in zip(
+            lanes, _batch_rows([step for step, *_ in lanes], requests, None), strict=True):
+        at, h = _scalar_extension(*step), step[3]
+        expected = []
+        for j in range(1, count):
+            t = t_end * j / count
+            expected.append((s + t * h, *at(t)))
+        expected.append(end_row)
+        assert _bits(rows) == _bits(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_lane_step.filter(lambda step: abs(step[3]) >= 1e-3), _component,
+                          _count, st.integers(1, 10**6)),
+                min_size=1, max_size=5),
+       st.sampled_from([0.01, 0.001]) | st.floats(1e-4, 1.0))
+def test_uniform_grid_rows_match_scalar_dense_output_bit_for_bit(lanes, sample_h):
+    # row j of a lane with direction d lies at S = (d j) sample_h, read off
+    # the extension at t = (S - s) / h, with no end row
+    requests = [(s, count, first) for _, s, count, first in lanes]
+    for (step, s, count, first), rows in zip(
+            lanes, _batch_rows([step for step, *_ in lanes], requests, sample_h), strict=True):
+        at, h = _scalar_extension(*step), step[3]
+        direction = 1 if h > 0 else -1
+        expected = []
+        for j in range(first, first + count):
+            target = direction * j * sample_h
+            expected.append((target, *at((target - s) / h)))
+        assert _bits(rows) == _bits(expected)
 
 
 def _assert_same_report(a, b):
@@ -601,15 +650,14 @@ def _failing_block(how):
 
     shoot = soliton._sweep_block
 
-    def block(job):
-        start = job[4]
+    def block(kind, seed, start, stop, y_budget, opts):
         if how == "caller" and start == 0:
             raise ValueError("the caller's block failed")
         if how == "raise" and start > 0:
             raise ValueError(f"block from state {start} failed")
         if how == "exit" and start > 0:
             os._exit(1)
-        return shoot(job)
+        return shoot(kind, seed, start, stop, y_budget, opts)
 
     return block
 
