@@ -314,27 +314,39 @@ def _cmd_flow_graph(parser, args) -> int:
     return 0
 
 
+# (flag, dest, default) of each flow-curve flag that only a seed shape reads.
+# Their parser defaults are None, so a value given by a flag or a config key
+# is seen; a seed run then fills in these defaults, which its config echoes.
+_SEED_FLAGS = (("--seed", "seed_shape", None), ("--n", "n", 512), ("--kappa", "kappa", 2.0),
+               ("--major", "major", 1.0), ("--minor", "minor", 0.5))
+
+
 def _seed_curve(parser, args) -> curveflow.ClosedCurve:
     """The seed shape of --n vertices (bad values are usage errors), or the
     --input curve at equal arc length on its polygon, with as many vertices
-    as the file (an unusable file is a parse error)."""
+    as the file (an unusable file is a parse error).  A seed's flags with
+    --input are a usage error."""
     if args.input:
-        if args.n is not None:
-            parser.error("--input keeps the file's vertex count; --n sets a seed's")
+        given = [flag for flag, dest, _ in _SEED_FLAGS if getattr(args, dest) is not None]
+        if given:
+            parser.error(f"--input keeps the file's vertex count and shape; "
+                         f"not with {', '.join(given)}")
         try:
             curve = curveflow.ClosedCurve.from_csv(Path(args.input).read_text())
             return curveflow.resample_uniform(curve)
         except (OSError, ValueError) as exc:
             print(f"flow-curve: {exc}", file=sys.stderr)
             raise SystemExit(PARSE_ERROR)
-    n = 512 if args.n is None else args.n
+    for _, dest, default in _SEED_FLAGS:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     try:
         if args.seed_shape == "lemniscate":
-            return curveflow.seed_lemniscate(n)
+            return curveflow.seed_lemniscate(args.n)
         if args.seed_shape == "circle":
-            return curveflow.seed_circle(args.kappa, n)
+            return curveflow.seed_circle(args.kappa, args.n)
         if args.seed_shape == "ellipse":
-            return curveflow.seed_ellipse(args.major, args.minor, n)
+            return curveflow.seed_ellipse(args.major, args.minor, args.n)
     except ValueError as exc:
         parser.error(str(exc))
     parser.error("choose --seed lemniscate|circle|ellipse or --input FILE")
@@ -406,11 +418,12 @@ def build_parser():
                    default=None)
     p.add_argument("--input", default=None,
                    help="curve frame CSV (header x,y, closed implied), resampled to equal arcs")
+    # the seed shape's flags default to None: see _SEED_FLAGS
     p.add_argument("--n", type=int, default=None,
                    help="vertices of the seed shape (default 512); not with --input")
-    p.add_argument("--kappa", type=_finite, default=2.0)
-    p.add_argument("--major", type=_finite, default=1.0)
-    p.add_argument("--minor", type=_finite, default=0.5)
+    p.add_argument("--kappa", type=_finite, default=None, help="circle curvature (default 2)")
+    p.add_argument("--major", type=_finite, default=None, help="ellipse x semi-axis (default 1)")
+    p.add_argument("--minor", type=_finite, default=None, help="ellipse y semi-axis (default 0.5)")
     p.add_argument("--dt", type=_positive, default=2e-3)
     p.add_argument("--t-end", type=_positive, default=8.0)
     p.add_argument("--frames", type=_positive_int, default=64)

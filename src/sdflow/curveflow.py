@@ -408,8 +408,8 @@ def flow(c: ClosedCurve, dt: float, t_end: float, frames: int = 64) -> FlowResul
             if not np.all(np.isfinite(pts)):
                 return FlowResult(frames_out, FlowOutcome("failed", reason="non-finite"))
 
-            span = np.max(pts, axis=0) - np.min(pts, axis=0)
-            if math.hypot(span[0], span[1]) < 1.5 * threshold:
+            xs, ys = pts[:, 0], pts[:, 1]  # per column: faster than axis-0 reductions
+            if math.hypot(xs.max() - xs.min(), ys.max() - ys.min()) < 1.5 * threshold:
                 cc = ClosedCurve(pts, t)
                 if cc.diameter() < threshold:
                     frames_out.append((t, cc, monitors(cc)))

@@ -7,13 +7,16 @@ the background A*x enters only through its (periodic) derivatives.
 
 ``_write_csv`` and ``_read_csv`` are the one CSV codec of the package:
 graph frames, trajectories and curve frames are each a header and float
-columns written and read through them.  ``_unsigned_zeros`` writes
-signed zeros as 0.0, for the codec and the command line's JSON files.
+columns written and read through them (a graph frame is written from a
+per-grid template, ``_frame_rows``, with the codec's bytes).
+``_unsigned_zeros`` writes signed zeros as 0.0, for the codec and the
+command line's JSON files.
 ``_steps_to`` is the frame clock of the graph flow and the curve flow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -91,6 +94,15 @@ def _steps_to(t: float, tf: float, dt: float, t_end: float):
         yield h, t
 
 
+@functools.lru_cache(maxsize=16)
+def _frame_rows(n: int, domain_length: float) -> str:
+    """The ``_write_csv("x,w", ...)`` text of a graph frame on this grid,
+    with x already written and one %r left per row for w.  A run's frames
+    share their grid, so each writes only its w column."""
+    x = (np.arange(n) * (domain_length / n)).tolist()
+    return "x,w\n" + "\n".join([repr(xi) + ",%r" for xi in x]) + "\n"
+
+
 @dataclass(frozen=True)
 class GraphField:
     """Uniformly sampled periodic perturbation of a linear graph.
@@ -131,7 +143,8 @@ class GraphField:
         return GraphField(self.domain_length, self.slope_offset, values)
 
     def to_csv(self) -> str:
-        return _write_csv("x,w", (self.x, self.values))
+        """The bytes of ``_write_csv("x,w", (self.x, self.values))``."""
+        return _frame_rows(self.n, self.domain_length) % tuple((self.values + 0.0).tolist())
 
     @staticmethod
     def from_csv(text: str, slope_offset: float = 0.0) -> "GraphField":

@@ -511,12 +511,44 @@ def test_flow_curve_input_takes_the_files_vertex_count(tmp_path, capsys):
                 "--frames", 1, "--out", tmp_path / "i"]) == 0
     manifest = json.loads((tmp_path / "i" / "manifest.json").read_text())
     assert manifest["config"]["n"] == 64
+    assert [manifest["config"][key] for key in ("seed_shape", "kappa", "major", "minor")] == [
+        None, None, None, None]
     rows = (tmp_path / "i" / "curve_001.csv").read_text().splitlines()[1:]
     assert len(rows) == 64
     # a seed without --n has its default 512 vertices, echoed as such
     assert run(["flow-curve", "--seed", "circle", "--dt", "1e-3", "--t-end", 0.01,
                 "--frames", 1, "--out", tmp_path / "d"]) == 0
     assert json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]["n"] == 512
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("shape", [
+    ("seed_shape", "--seed", "ellipse"), ("kappa", "--kappa", "5"),
+    ("major", "--major", "2"), ("minor", "--minor", "0.25")],
+    ids=["seed", "kappa", "major", "minor"])
+def test_flow_curve_input_rejects_seed_shape_flags(tmp_path, capsys, shape, source):
+    # the file's curve was once run while the manifest echoed the seed's shape
+    assert run(["flow-curve", "--seed", "circle", "--n", 64, "--dt", "1e-3",
+                "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "c"]) == 0
+    seed_manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert {key: seed_manifest["config"][key] for key in ("kappa", "major", "minor")} == {
+        "kappa": 2.0, "major": 1.0, "minor": 0.5}
+    curve_file = tmp_path / "c" / "curve_001.csv"
+    key, flag, value = shape
+    if source == "flag":
+        extra = [flag, value]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}={value}\n")
+        extra = ["--config", cfg]
+    capsys.readouterr()
+    assert run(["flow-curve", "--input", curve_file, *extra, "--dt", "1e-3", "--t-end", 0.01,
+                "--frames", 1, "--out", tmp_path / "i"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdflow flow-curve ")
+    assert err.endswith(
+        f"flow-curve: error: --input keeps the file's vertex count and shape; not with {flag}\n")
+    assert not (tmp_path / "i").exists()
 
 
 def readme_commands():

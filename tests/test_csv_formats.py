@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdflow.curveflow import ClosedCurve, seed_circle
-from sdflow.geometry import GraphField
+from sdflow.geometry import GraphField, _write_csv
 from sdflow.soliton import IntegratorOptions, SolitonKind, Trajectory
 
 # every finite float, with the extremes drawn often: signed zeros,
@@ -55,6 +55,24 @@ def test_graph_frame_csv_roundtrip_bit_for_bit(values, length):
     back = GraphField.from_csv(f.to_csv(), slope_offset=0.5)
     assert back.values.tobytes() == as_read(values)
     assert back.domain_length == pytest.approx(length, rel=1e-14)
+
+
+# frame values on an even grid of 8 to 4,096 points; most entries take one
+# drawn fill value, so that large grids stay quick to draw
+FRAME_VALUES = st.integers(4, 2048).flatmap(
+    lambda half: arrays(np.float64, 2 * half, elements=VALUE, fill=VALUE))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=FRAME_VALUES, b=FRAME_VALUES, la=st.floats(0.1, 100.0), lb=st.floats(0.1, 100.0))
+def test_graph_frame_template_writes_the_codec_bytes(a, b, la, lb):
+    # (n, L) alternates between calls: a row template cached on n alone,
+    # or on L alone, would write another grid's x column or row count
+    for values, length in ((a, la), (b, lb), (a, lb), (b, la), (a, la)):
+        f = GraphField(length, 0.5, values)
+        # compared outside the assert: pytest's diff of two long texts takes minutes
+        same = f.to_csv() == _write_csv("x,w", (f.x, f.values))
+        assert same, f"n={f.n}, L={length!r}"
 
 
 # distinct vertices, so that consecutive vertices are distinct

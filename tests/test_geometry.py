@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdflow.geometry import GraphField, surface_diffusion_operator
-from sdflow.geometry import _d1, _d2
+from sdflow.geometry import _d1, _d2, _steps_to
 
 
 def symbolic_operator(A, eps, L, harmonics=((1.0, 1.0),)):
@@ -167,3 +167,19 @@ def test_both_flows_keep_one_frame_clock(monkeypatch):
     assert steps["graph"] == steps["curve"]
     assert len(steps["graph"]) == 5 * frames
     assert [h == dt for h in steps["graph"]] == [True, True, True, True, False] * frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_end=st.floats(1e-6, 1e6), frame=st.floats(0.0, 1.0), start=st.floats(0.0, 1.0),
+       step_frac=st.floats(1e-3, 2.0))
+def test_frame_clock_steps_forward_and_lands_on_the_frame(t_end, frame, start, step_frac):
+    # a frame time tf in [0, t_end], a start t in [0, tf], and dt of up to
+    # 1000 steps per t_end; the step sizes h key the graph step's multiplier cache
+    tf = t_end * frame
+    t = tf * start
+    dt = t_end * step_frac
+    clock = list(_steps_to(t, tf, dt, t_end))
+    assert all(0.0 < h <= dt for h, _ in clock)
+    times = [t] + [after for _, after in clock]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert abs(times[-1] - tf) <= 1e-15 * t_end

@@ -15,7 +15,7 @@ from sdflow.graphpde import (
     rescale,
     step,
 )
-from sdflow.graphpde import _fourth_symbol
+from sdflow.graphpde import _fourth_symbol, _step_multiplier
 
 L = 2.0 * math.pi
 
@@ -209,3 +209,27 @@ def test_fourth_symbol_cache_read_only_and_fresh(half, length):
     s1 = np.sin(xi) / dx
     fresh = s1 * s1 * ((2.0 - 2.0 * np.cos(xi)) / (dx * dx))
     assert m.tobytes() == fresh.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(half=st.integers(4, 2048), length=st.floats(0.1, 100.0), dt=st.floats(1e-9, 1.0))
+def test_step_multiplier_cache_read_only_and_fresh(half, length, dt):
+    n = 2 * half
+    dx = length / n
+    mult = _step_multiplier(n, dx, dt)
+    assert mult.flags.writeable is False
+    with pytest.raises(ValueError):
+        mult[0] = 1.0
+    assert _step_multiplier(n, dx, dt) is mult
+    assert mult.tobytes() == (dt / (1.0 + dt * _fourth_symbol(n, dx))).tobytes()
+
+
+@pytest.mark.parametrize("dt", [1e-3, 3.7e-4])  # a full step, and one shortened to a frame
+def test_step_matches_the_uncached_formula_bit_for_bit(dt):
+    f = sine_field(n=1024, eps=0.3, A=1.0)
+    update = np.fft.rfft(surface_diffusion_operator(f).values)
+    update *= dt / (1.0 + dt * _fourth_symbol(f.n, f.dx))
+    expected = f.values + np.fft.irfft(update, f.n)
+    out = step(f, FlowConfig(dt=dt, t_end=1.0))
+    assert out.values.tobytes() == expected.tobytes()
+    assert (out.domain_length, out.slope_offset) == (f.domain_length, f.slope_offset)
