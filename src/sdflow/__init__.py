@@ -12,6 +12,7 @@ from .soliton import (
     BreakdownCertificate,
     ClassificationReport,
     IntegratorOptions,
+    IntegratorStats,
     ProfileState,
     SolitonKind,
     Trajectory,

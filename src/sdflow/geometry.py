@@ -118,8 +118,8 @@ class GraphField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if self.domain_length <= 0:
-            raise ValueError("domain_length must be positive")
+        if not (math.isfinite(self.domain_length) and self.domain_length > 0):
+            raise ValueError("domain_length must be positive and finite")
         if vals.ndim != 1 or vals.size < 8 or vals.size % 2 != 0:
             raise ValueError("values must be a 1-d array, n >= 8 and even")
         if not np.all(np.isfinite(vals)):

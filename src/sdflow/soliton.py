@@ -4,38 +4,38 @@ Each profile phi(y) of the three kinds (equilibrium, self-similar,
 travelling wave) is shot as a plane curve (y(s), phi(s)) in its signed
 arc length s from the initial point, with the state
 
-    (y, phi, theta, k, w, chi),   tan theta = psi = dphi/dy,
+    (y, phi, c, s, theta, k, w, chi),   tan theta = psi = dphi/dy,
 
-where theta is the tangent angle, k = dtheta/ds the curvature and
-w = dk/ds = (1/v) dk/dy, v = sqrt(1 + psi^2).  The system
+where theta is the tangent angle, (c, s) = (cos theta, sin theta), k =
+dtheta/ds the curvature and w = dk/ds = (1/v) dk/dy, v = sqrt(1 + psi^2).
+The system
 
-    dy/ds = cos theta,   dphi/ds = sin theta,   dtheta/ds = k,   dk/ds = w,
-    dw/ds = 0,      dchi/ds = 0                              (steady)
-    dw/ds = -chi/4, dchi/ds = -k (y cos theta + phi sin theta),
-                    chi = (phi - y psi)/v                    (self-similar)
-    dw/ds = chi,    dchi/ds = k (a cos theta + b sin theta),
-                    chi = (a psi - b)/v                      (travelling wave,
-                                                              direction (a, b))
+    dy/ds = c,   dphi/ds = s,   dc/ds = -k s,   ds/ds = k c,
+    dtheta/ds = k,   dk/ds = w,
+    dw/ds = 0,      dchi/ds = 0                   (steady)
+    dw/ds = -chi/4, dchi/ds = -k (y c + phi s),
+                    chi = (phi - y psi)/v         (self-similar)
+    dw/ds = chi,    dchi/ds = k (a c + b s),
+                    chi = (a psi - b)/v           (travelling wave, direction (a, b))
 
-is smooth through a vertical tangent, and chi makes every line of the
-kind an exact fixed point in floating point.
+is smooth through a vertical tangent and polynomial, and chi makes every
+line of the kind an exact fixed point in floating point.
 
-Integration is by an adaptive Dormand-Prince 5(4) pair, advanced over a
-batch of lanes (one initial state and direction each) whose stages run
-as numpy arrays; each lane keeps its own step size and events, so its
-result does not depend on the batch.  The pair's native dense output
-and one root-finder locate every event: the y budget and the loss of
-graphicality, where |psi| reaches the slope ceiling.  Trajectories are
-reported up to that point, at equal sub-steps resolving the tangent
-angle, or with ``sample_h`` at uniform points in arc length; every
-stored row is the dense output of its step, evaluated over the whole
-batch at once.  The curve is then followed past the vertical,
-unrecorded, until the curvature changes sign or the turning on the
-current arc of constant curvature sign is observed above pi.  A run thus
-ends with the budget exhausted or with a breakdown certificate: an
-excess-turning witness (the observed turning and its arc), graphicality
-loss (the slope at the event), or a numerical failure (non-finite state,
-step underflow).
+Integration is by Taylor series of fixed order, whose coefficients follow
+from Cauchy-product recurrences, over a batch of lanes (one initial state
+and direction each) run as numpy arrays; each lane picks its own step from
+its last coefficients and keeps its own events, so its result does not
+depend on the batch.  Each step's own polynomial locates every event (the
+y budget, and the loss of graphicality, where |psi| reaches the slope
+ceiling) and gives every stored row, evaluated over the whole batch at
+once: up to the event, at sub-steps resolving the tangent angle, or with
+``sample_h`` at uniform points in arc length.  The curve is then followed
+past the vertical, unrecorded, until the curvature changes sign or the
+turning on the current arc of constant curvature sign is observed above
+pi.  A run thus ends with the budget exhausted or with a breakdown
+certificate: an excess-turning witness (the observed turning and its
+arc), graphicality loss (the slope at the event), or a numerical failure
+(non-finite coefficients or state, step underflow).
 
 A seeded sweep shoots one contiguous block of states per worker, at most
 one per CPU: the first in the calling process, each other in a child
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; sweeps and shoots all draw from it
@@ -58,6 +58,7 @@ __all__ = [
     "SolitonKind",
     "ProfileState",
     "IntegratorOptions",
+    "IntegratorStats",
     "BreakdownCertificate",
     "Trajectory",
     "ClassificationReport",
@@ -146,7 +147,6 @@ class IntegratorOptions:
     rel_tol: float = 1e-10
     min_step: float = 1e-14
     max_step: float = 1.0
-    initial_step: float = 1e-3
     slope_ceiling: float = 1e6
     theta_sample: float = 0.01
     triviality_tol: float = 1e-9
@@ -155,7 +155,7 @@ class IntegratorOptions:
     sample_h: Optional[float] = None
 
     def validate(self) -> None:
-        names = ["abs_tol", "rel_tol", "min_step", "max_step", "initial_step",
+        names = ["abs_tol", "rel_tol", "min_step", "max_step",
                  "slope_ceiling", "theta_sample", "triviality_tol"]
         if self.sample_h is not None:
             names.append("sample_h")
@@ -200,6 +200,19 @@ class BreakdownCertificate:
         }
 
 
+class IntegratorStats(NamedTuple):
+    """What one directional integration did: the steps it took, the degree
+    of their Taylor polynomials, the smallest and largest |h| (None without
+    a step) and why it ended: 'budget' or its certificate's type.  (A named
+    tuple: a dataclass would add about 2 ms to every command's import.)"""
+
+    steps: int
+    order: int
+    min_h: Optional[float]
+    max_h: Optional[float]
+    termination: str
+
+
 _TRAJECTORY_HEADER = "y,phi,psi,theta,k,w,S"
 
 
@@ -220,6 +233,7 @@ class Trajectory:
     options: IntegratorOptions
     max_abs_k: float
     max_turning: float
+    stats: Optional[IntegratorStats] = None  # None when read from a file
 
     @property
     def theta(self) -> np.ndarray:
@@ -258,157 +272,134 @@ class Trajectory:
 # vector field
 # --------------------------------------------------------------------------
 
+# components of the arc-length state, and those a stored row keeps after S
+_Y, _PHI, _C, _S, _THETA, _K, _W, _CHI = range(8)
+_ROW = (_Y, _PHI, _THETA, _K, _W)
+
+
 def vector_field(kind: SolitonKind) -> Callable:
     """Arc-length right-hand side of the profile system of ``kind``.
 
-    Returns f(u) -> du/ds for the state u = (y, phi, theta, k, w, chi).
-    The components are floats, or numpy arrays with one entry per lane;
-    where numpy's cos and sin return math's bits (README, "Numerical
-    notes"), both give the same slopes.
+    Returns f(u) -> du/ds for the state u = (y, phi, c, s, theta, k, w, chi),
+    (c, s) = (cos theta, sin theta); every component is a polynomial in u.
+    The components are floats, or numpy arrays with one entry per lane.
     """
-    if kind.name == "steady":
+    name, a, b = kind.name, kind.a, kind.b
 
-        def f(u):
-            theta = u[2]
-            return np.cos(theta), np.sin(theta), u[3], u[4], 0.0, 0.0
-
-    elif kind.name == "selfsimilar":
-
-        def f(u):
-            y, phi, theta, k, w, chi = u
-            c, s = np.cos(theta), np.sin(theta)
-            return c, s, k, w, -0.25 * chi, -k * (y * c + phi * s)
-
-    else:
-        a, b = kind.a, kind.b
-
-        def f(u):
-            _, _, theta, k, w, chi = u
-            c, s = np.cos(theta), np.sin(theta)
-            return c, s, k, w, chi, k * (a * c + b * s)
+    def f(u):
+        y, phi, c, s, theta, k, w, chi = u
+        kc, ks = k * c, k * s
+        if name == "steady":
+            dw, dchi = 0.0, 0.0
+        elif name == "selfsimilar":
+            dw, dchi = -0.25 * chi, -(k * (y * c + phi * s))
+        else:
+            dw, dchi = chi, a * kc + b * ks
+        return c, s, -ks, kc, k, w, dw, dchi
 
     return f
 
 
 def _initial_state(kind: SolitonKind, init: ProfileState) -> tuple:
     """Arc-length state at ``init``; chi is 0 exactly on every line of the kind."""
+    v = init.v
     if kind.name == "selfsimilar":
-        chi = (init.phi - init.y * init.psi) / init.v
+        chi = (init.phi - init.y * init.psi) / v
     elif kind.name == "travelling":
-        chi = (kind.a * init.psi - kind.b) / init.v
+        chi = (kind.a * init.psi - kind.b) / v
     else:
         chi = 0.0
-    return (init.y, init.phi, init.theta, init.k, init.w, chi)
+    return (init.y, init.phi, 1.0 / v, init.psi / v, init.theta, init.k, init.w, chi)
 
 
 # --------------------------------------------------------------------------
-# Dormand-Prince 5(4) with its continuous extension, over lanes
+# Taylor series over lanes
 # --------------------------------------------------------------------------
 
-# Stage rows of the tableau.  The system is autonomous, so the nodes are not
-# needed; the last row holds the 5th-order weights (first same as last).
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_A_COLUMN = np.array([a for row in _A for a in row])[:, None, None]
-# 5th-order minus embedded 4th-order weights over the seven stages
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_E_COLUMN = np.array(_E)[:, None, None]
-# 4th-order continuous extension (Hairer, Norsett & Wanner, DOPRI5's CONTD5)
-_D = (
-    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423,
-)
-_D_COLUMN = np.array(_D)[:, None, None]
+# Degree of every step's Taylor polynomial: orders 16 to 20 shoot equally fast
+# within 5 % on 100- and 1,000-lane batches, 12 and 14 up to 25 % slower
+# (BENCH_21.json).
+_ORDER = 18
+# a step makes the last two coefficients' terms about 0.9^_ORDER of the tolerance
+_ROOTS = (1.0 / (_ORDER - 1), 1.0 / _ORDER)
+_DIVISORS = np.arange(1.0, _ORDER + 1.0)
+# c_n = (k s)_j / -n and s_n = (k c)_j / n, n = j + 1: the divisors of (k s, k c)_j
+_TURN = np.array([[-1.0], [1.0]]) * _DIVISORS[:, None, None]
 
 
-def _slope(f, u, out) -> None:
-    for i, v in enumerate(f(u)):
-        out[i] = v
+def _fold(terms):
+    """sum(terms) for every lane, in index order: accumulate adds the terms
+    along axis 0 one by one, whatever the array's shape."""
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _fold(coefs, ks):
-    """sum(c * k for c, k in zip(coefs, ks)) for every lane, in that order.
+def _series(kind: SolitonKind, u):
+    """Taylor coefficients (_ORDER + 1, 8, L) in arc length of the solutions
+    through the states u (8, L), one lane each.
 
-    accumulate adds the terms one by one.  Python's sum starts from 0
-    rather than from the first term, which differs only in turning a -0.0
-    result into +0.0, as adding 0.0 does.
+    Coefficient n is coefficient n - 1 of the right-hand side over n.  The
+    right-hand side is polynomial, so its coefficients are Cauchy products
+    of those already known: (a b)_j = a_0 b_j + a_1 b_{j-1} + ... + a_j b_0,
+    a left fold taken elementwise over the lanes.
     """
-    return np.add.accumulate(coefs * ks, axis=0)[-1] + 0.0
+    x = np.empty((_ORDER + 1, 8, u.shape[1]))
+    x[0] = u
+    name, a, b = kind.name, kind.a, kind.b
+    k, cs, yphi = x[:, _K:_K + 1], x[:, _C:_S + 1], x[:, _Y:_PHI + 1]
+    if name == "steady":
+        x[1:, _K:] = 0.0  # w and chi are constant, so k is linear: k_1 = w_0 / 1
+        x[1, _K] = x[0, _W]
+    elif name == "selfsimilar":
+        p = np.empty((_ORDER, u.shape[1]))  # y c + phi s
+    for j in range(_ORDER):
+        n = j + 1
+        kcs = _fold(k[:n] * cs[j::-1])  # (k c)_j, (k s)_j
+        np.divide(kcs[::-1], _TURN[j], out=cs[n])
+        if name == "selfsimilar":
+            np.divide(cs[j], n, out=yphi[n])
+            ycs = _fold(yphi[:n] * cs[j::-1])
+            np.add(ycs[0], ycs[1], out=p[j])
+            np.divide(x[j, _W], n, out=x[n, _K])
+            np.divide(np.multiply(x[j, _CHI], -0.25, out=x[n, _W]), n, out=x[n, _W])
+            np.divide(_fold(k[:n, 0] * p[j::-1]), -n, out=x[n, _CHI])
+        elif name == "travelling":
+            np.divide(x[j, _W:], n, out=x[n, _K:_W + 1])  # k' = w, w' = chi
+            x[n, _CHI] = (a * kcs[0] + b * kcs[1]) / n
+    # no other product reads y, phi or theta
+    if name != "selfsimilar":
+        np.divide(cs[:-1], _DIVISORS[:, None, None], out=yphi[1:])
+    np.divide(x[:-1, _K], _DIVISORS[:, None], out=x[1:, _THETA])
+    return x
 
 
-def _step(f, u, ks, h, atol, rtol):
-    """One step of every lane: states u (6, M), step sizes h (M,).
-
-    ks (7, 6, M) holds the slope at u in ks[0]; the step fills ks[1:] with
-    the stage slopes.  Returns the new states and, per component and lane,
-    the error over its tolerance.  Every lane sees the float operations of
-    a scalar step in the same order.  (np.maximum keeps a NaN that Python's
-    max would skip, but only where the new state is not finite, and such a
-    step is rejected whatever its error.)
-    """
-    ha = _A_COLUMN * h
-    first = 0
-    for j in range(1, 7):
-        u1 = u + _fold(ha[first:first + j], ks[:j])
-        first += j
-        _slope(f, u1, ks[j])
-    scale = atol + rtol * np.maximum(np.abs(u), np.abs(u1))
-    return u1, np.abs(h * _fold(_E_COLUMN, ks)) / scale
+def _horner(coefs, dt):
+    """The polynomial at dt by Horner's rule, its coefficients ``coefs``
+    given from the highest down: floats, or arrays whose last axis dt
+    broadcasts over."""
+    coefs = iter(coefs)
+    value = next(coefs)
+    for coef in coefs:
+        value = value * dt + coef
+    return value
 
 
-def _errors(ratio) -> list:
-    """Per lane, the largest error ratio over the components as Python's
-    max finds it, which skips a NaN that is not the first component."""
-    errs = ratio.max(axis=0).tolist()
-    for m, err in enumerate(errs):
-        if err != err:
-            errs[m] = max(ratio[:, m].tolist())
-    return errs
+def _sample_rows(x, h, requests, sample_h):
+    """Stored rows (S, y, phi, theta, k, w) of every requesting lane's step,
+    from one evaluation of the steps' polynomials over the batch.
 
-
-def _extension(u, u1, ks, h):
-    """Coefficients (5, 6, L) of the continuous extension of each lane's step.
-
-    u, u1 (6, L) are the states at the step's ends, ks (7, 6, L) its stage
-    slopes and h (L,) its size; ``_poly`` evaluates them.
-    """
-    diff = u1 - u
-    bspl = h * ks[0] - diff
-    return np.stack((u, diff, bspl, diff - h * ks[6] - bspl, h * _fold(_D_COLUMN, ks)))
-
-
-def _poly(c, t):
-    """The continuous extension at t in [0, 1] of the step, from its
-    coefficients c: one component's floats, or arrays that t broadcasts over."""
-    x, diff, bspl, c3, c4 = c
-    t1 = 1.0 - t
-    return x + t * (diff + t1 * (bspl + t * (c3 + t1 * c4)))
-
-
-def _at(coefs, t: float) -> tuple:
-    return tuple(_poly(c, t) for c in coefs)
-
-
-def _sample_rows(u, u1, ks, h, requests, sample_h):
-    """Stored rows (S, *state) of every requesting lane's accepted step, from
-    one evaluation of the continuous extension over the batch.
-
-    u, u1 (6, L) are the states at the steps' ends, ks (7, 6, L) their stage
-    slopes and h (L,) their sizes.  Lane l requests count rows of its step
-    from S = s, which are rows[ends[l] - count:ends[l]]:
-    - theta-resolved, (s, count, t_end, end_row): at t = (t_end j) / count
-      for 0 < j <= count and S = s + t h, the last replaced by end_row, the
-      state where the graphical part of the step ends;
+    x (_ORDER + 1, 8, L) holds the steps' Taylor coefficients and h (L,)
+    their sizes.  Lane l requests count rows of its step from S = s, which
+    are rows[ends[l] - count:ends[l]]:
+    - theta-resolved, (s, count, t_end, end_row): at S = s + (t_end tau) h
+      for fractions f = j / count, 0 < j <= count, the last row replaced by
+      end_row, the row where the graphical part of the step ends.  Where
+      the curvature has one sign at both ends, k0 and k1, tau is where a
+      curvature linear in S has turned by the fraction f of its turning,
+      tau = f (k0 + k1) / (k0 + sign(k0) sqrt((1 - f) k0^2 + f k1^2));
+      elsewhere tau = f;
     - with ``sample_h``, (s, count, first_j): at S = (direction j) sample_h
-      for first_j <= j < first_j + count and t = (S - s) / h, where the
-      direction is the sign of h.
+      for first_j <= j < first_j + count, where the direction is the sign
+      of h.
     Every number takes the float operations of a scalar evaluation in their
     order, elementwise over the rows.
     """
@@ -417,14 +408,20 @@ def _sample_rows(u, u1, ks, h, requests, sample_h):
     ends = np.cumsum(counts)
     lane = np.repeat(np.arange(counts.size), counts)
     j = np.arange(ends[-1]) - (ends - counts)[lane]
-    rows = np.empty((j.size, 7))
+    rows = np.empty((j.size, 1 + len(_ROW)))
     if sample_h is None:
-        t = (np.array(columns[2])[lane] * (j + 1)) / counts[lane]
-        rows[:, 0] = s[lane] + t * h[lane]
+        f = (j + 1) / counts[lane]
+        k0, k1 = x[0, _K, lane], np.array(columns[3])[lane, 4]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where k0 = k1 = 0
+            tau = np.where(k0 * k1 > 0.0, f * (k0 + k1) / (
+                k0 + np.copysign(np.sqrt((1.0 - f) * k0 * k0 + f * k1 * k1), k0)), f)
+        dt = (np.array(columns[2])[lane] * tau) * h[lane]
+        rows[:, 0] = s[lane] + dt
     else:
         rows[:, 0] = (np.sign(h)[lane] * (j + np.array(columns[2])[lane])) * sample_h
-        t = (rows[:, 0] - s[lane]) / h[lane]
-    rows[:, 1:] = _poly(_extension(u, u1, ks, h)[:, :, lane], t).T
+        dt = rows[:, 0] - s[lane]
+    # each coefficient gathered per row only as Horner's rule reaches it
+    rows[:, 1:] = _horner((coef[:, lane] for coef in x[::-1, _ROW]), dt).T
     if sample_h is None:
         rows[ends - 1] = columns[3]
     return rows, ends
@@ -466,108 +463,117 @@ def _critical_angle(ceiling: float) -> float:
     return theta
 
 
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
-
-
 class _Lane:
     """Scalar control of one directional integration in a batch.
 
-    Holds the lane's step size, stored rows, monitors and events, and applies
-    each attempted step with Python floats, so a lane's result does not
-    depend on the batch it runs in.
+    Holds the lane's step size, stored rows, monitors, events and step
+    counts, and applies each step with Python floats, so a lane's result
+    does not depend on the batch it runs in.
     """
 
     __slots__ = ("direction", "y_budget", "opts", "store", "theta_c", "y_final",
                  "s", "u", "h", "rows", "pending", "grid_j", "theta0",
-                 "max_abs_k", "max_turning",
+                 "max_abs_k", "max_turning", "steps", "min_h", "max_h",
                  "run_sign", "run_s", "run_theta", "event", "event_s", "certificate")
 
     def __init__(self, u, direction, y_budget, opts, store, theta_c):
         self.direction, self.y_budget = direction, y_budget
         self.opts, self.store, self.theta_c = opts, store, theta_c
-        self.y_final = u[0] + direction * y_budget
-        self.s, self.u = 0.0, u
-        self.h = direction * min(opts.initial_step, opts.max_step)
-        # stored rows (S, *state): the initial state, then one array per
-        # accepted step that stores any
-        self.rows = [np.array([(0.0, *u)])]
-        # the request of an accepted step whose rows the batch evaluates
-        # (_sample_rows), or None
+        self.y_final = u[_Y] + direction * y_budget
+        self.s, self.u, self.h = 0.0, u, 0.0
+        # stored rows (S, y, phi, theta, k, w): the initial state, then one
+        # array per step that stores any
+        self.rows = [np.array([(0.0, *(u[i] for i in _ROW))])]
+        # the request of a step whose rows the batch evaluates (_sample_rows),
+        # or None
         self.pending = None
         self.grid_j = 1  # index of the next uniform sample
-        self.theta0 = u[2]
-        self.max_abs_k, self.max_turning = abs(u[3]), 0.0
+        self.theta0 = u[_THETA]
+        self.max_abs_k, self.max_turning = abs(u[_K]), 0.0
+        self.steps, self.min_h, self.max_h = 0, None, None
         # the current run of constant curvature sign starts at (run_s, run_theta)
-        self.run_sign, self.run_s, self.run_theta = _sign(u[3]), 0.0, u[2]
+        k = u[_K]
+        self.run_sign = 1 if k > 0.0 else -1 if k < 0.0 else 0
+        self.run_s, self.run_theta = 0.0, u[_THETA]
         # where graphicality was lost
-        self.event = u if abs(u[2]) >= theta_c else None
+        self.event = u if abs(u[_THETA]) >= theta_c else None
         self.event_s = 0.0
         self.certificate = None
 
     def _breakdown(self, name, detail):
-        y = self.u[0] if self.event is None else self.event[0]
+        y = self.u[_Y] if self.event is None else self.event[_Y]
         return BreakdownCertificate(name, y, self.direction, detail)
 
     def _graphicality_loss(self):
         return self._breakdown("graphicality_loss",
-                               {"slope": math.tan(self.event[2]),
+                               {"slope": math.tan(self.event[_THETA]),
                                 "ceiling": self.opts.slope_ceiling})
 
-    def advance(self, u1, err, finite, ks, m) -> Optional[bool]:
-        """Take or reject the step to u1 with stage slopes ks[:, :, m].
+    def step_size(self, ratio_prev: float, ratio_last: float) -> float:
+        """The next step, from the largest of the last two coefficients over
+        their tolerance: 0.9 times the radius at which their terms reach it,
+        at most ``max_step``.  Python's float power: np.power differs from
+        it in the last bit on about 5 % of inputs."""
+        g = max(ratio_prev ** _ROOTS[0], ratio_last ** _ROOTS[1])
+        h = 0.9 / g if g > 0.0 else math.inf
+        self.h = self.direction * min(h, self.opts.max_step)
+        return self.h
 
-        Returns True if the step was accepted, False if it was rejected,
-        and None once the lane has ended.  An accepted step with rows to
-        store leaves their request in ``pending`` (see ``_sample_rows``).
+    def advance(self, u1, finite, x, m) -> bool:
+        """Take the step of size ``h`` to u1 on the Taylor polynomial
+        x[:, :, m]; False once the lane has ended.
+
+        A step with rows to store leaves their request in ``pending`` (see
+        ``_sample_rows``).
         """
         u, h, direction, opts = self.u, self.h, self.direction, self.opts
-        # the step factors take Python's float power: np.power differs from
-        # it in the last bit on about 5 % of inputs
-        if not finite or err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2) if finite else 0.5
-            self.h = h
-            if abs(h) < opts.min_step:
-                if self.event is not None:
-                    self.certificate = self._graphicality_loss()
-                else:
-                    failure = "step_underflow" if finite else "non_finite"
-                    self.certificate = self._breakdown(failure, {"slope": math.tan(u[2])})
-                return None
+        if not finite or abs(h) < opts.min_step:
+            if self.event is not None:
+                self.certificate = self._graphicality_loss()
+            else:
+                failure = "step_underflow" if finite else "non_finite"
+                self.certificate = self._breakdown(failure, {"slope": math.tan(u[_THETA])})
             return False
+        self.steps += 1
+        size = abs(h)
+        if self.min_h is None or size < self.min_h:
+            self.min_h = size
+        if self.max_h is None or size > self.max_h:
+            self.max_h = size
 
         s = self.s
         if self.event is None:
             # the graphical part ends at the first of graphicality loss and budget
             t_end, stop = 1.0, None
             theta_c, y_final = self.theta_c, self.y_final
-            gap = direction * (u1[0] - y_final)
-            if abs(u1[2]) >= theta_c or gap >= 0.0:
-                # the step's continuous extension on this lane, per component
-                coefs = _extension(np.array([u]).T, np.array([u1]).T, ks[:, :, m:m + 1],
-                                   h)[:, :, 0].T.tolist()
-                if abs(u1[2]) >= theta_c:
-                    t_end = _root(lambda t: abs(_poly(coefs[2], t)) - theta_c, 1.0,
-                                  abs(u1[2]) - theta_c)
+            gap = direction * (u1[_Y] - y_final)
+            if abs(u1[_THETA]) >= theta_c or gap >= 0.0:
+                coefs = x[::-1, :, m].T.tolist()  # per component, highest first
+                if abs(u1[_THETA]) >= theta_c:
+                    t_end = _root(lambda t: abs(_horner(coefs[_THETA], t * h)) - theta_c,
+                                  1.0, abs(u1[_THETA]) - theta_c)
                     stop = "graphicality"
                 if gap >= 0.0:
-                    t = _root(lambda t: direction * (_poly(coefs[0], t) - y_final), 1.0, gap)
+                    t = _root(lambda t: direction * (_horner(coefs[_Y], t * h) - y_final),
+                              1.0, gap)
                     if t <= t_end:
                         t_end, stop = t, "budget"
-            u_end = u1 if t_end == 1.0 else _at(coefs, t_end)
+            u_end = u1 if t_end == 1.0 else [_horner(c, t_end * h) for c in coefs]
             s_end = s + t_end * h
             if stop == "budget":
                 u_end = (y_final, *u_end[1:])
 
             sample_h = opts.sample_h
             if self.store and sample_h is None:
-                # equal sub-steps resolving the tangent angle to theta_sample
-                n = math.ceil(abs(u_end[2] - u[2]) / opts.theta_sample)
-                self.pending = (s, max(n, 1), t_end, (s_end, *u_end))
+                # sub-steps turning by at most theta_sample: of equal turning
+                # where k keeps its sign (see _sample_rows), else of equal S
+                k0, k1 = u[_K], u_end[_K]
+                if k0 * k1 > 0.0:
+                    turning = abs(u_end[_THETA] - u[_THETA])
+                else:
+                    turning = max(abs(k0), abs(k1)) * abs(s_end - s)
+                n = math.ceil(turning / opts.theta_sample)
+                self.pending = (s, max(n, 1), t_end, (s_end, *(u_end[i] for i in _ROW)))
             elif self.store:
                 # uniform grid in arc length, the variable the steps advance:
                 # sample j lies at S = direction j sample_h
@@ -578,50 +584,46 @@ class _Lane:
                     self.pending = (s, j - first, first)
                 self.grid_j = j
 
-            k = abs(u_end[3])
+            k = abs(u_end[_K])
             if k > self.max_abs_k:
                 self.max_abs_k = k
-            turning = abs(u_end[2] - self.theta0)
+            turning = abs(u_end[_THETA] - self.theta0)
             if turning > self.max_turning:
                 self.max_turning = turning
             if stop == "budget":
-                return None
+                return False
             if stop == "graphicality":
                 self.event, self.event_s = u_end, s_end
 
-        # accept the whole step; past the vertical the curve is followed
+        # take the whole step; past the vertical the curve is followed
         # until the turning on a run of constant curvature sign passes pi
         s = self.s = s + h
         self.u = u1
-        k = u1[3]
+        k = u1[_K]
         sign = 1 if k > 0.0 else -1 if k < 0.0 else 0
         if sign and sign != self.run_sign:
             if self.run_sign and self.event is not None:
                 self.certificate = self._graphicality_loss()
-                return None
+                return False
             if self.run_sign:
-                self.run_s, self.run_theta = s, u1[2]
+                self.run_s, self.run_theta = s, u1[_THETA]
             self.run_sign = sign
         if self.event is not None:
-            turning = abs(u1[2] - self.run_theta)
+            turning = abs(u1[_THETA] - self.run_theta)
             if turning > math.pi:
                 self.certificate = self._breakdown(
                     "angle_excess",
                     {"interval": [min(self.run_s, s), max(self.run_s, s)], "value": turning},
                 )
-                return None
+                return False
             if abs(s - self.event_s) > self.y_budget:
                 self.certificate = self._graphicality_loss()
-                return None
-        grow = 0.9 * err**-0.2 if err > 0 else 5.0
-        h *= grow if grow < 5.0 else 5.0
-        if abs(h) > opts.max_step:
-            h = direction * opts.max_step
-        self.h = h
+                return False
         return True
 
     def trajectory(self, kind: SolitonKind) -> Trajectory:
         rows = np.concatenate(self.rows)
+        cert = self.certificate
         return Trajectory(
             kind=kind,
             direction=self.direction,
@@ -631,20 +633,22 @@ class _Lane:
             k=rows[:, 4],
             w=rows[:, 5],
             S=rows[:, 0],
-            outcome="completed" if self.certificate is None else "breakdown",
-            certificate=self.certificate,
+            outcome="completed" if cert is None else "breakdown",
+            certificate=cert,
             options=self.opts,
             max_abs_k=self.max_abs_k,
             max_turning=self.max_turning,
+            stats=IntegratorStats(self.steps, _ORDER, self.min_h, self.max_h,
+                                  "budget" if cert is None else cert.kind),
         )
 
 
 def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
     """Advance every (init, direction) lane as one batch; one Trajectory per lane.
 
-    The tableau runs over numpy arrays of the active lanes' states, which
-    stay in place across steps; each lane's control is scalar.  Lanes that
-    end leave the batch.
+    Each step expands every active lane's Taylor series over numpy arrays
+    of their states; each lane's control is scalar.  Lanes that end leave
+    the batch.
     """
     opts.validate()
     if not (math.isfinite(y_budget) and y_budget > 0):
@@ -656,34 +660,30 @@ def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
             raise ValueError("initial state must be finite")
     if not lanes:
         return []
-    f = vector_field(kind)
     atol, rtol = opts.abs_tol, opts.rel_tol
     theta_c = _critical_angle(opts.slope_ceiling)
     runs = [_Lane(_initial_state(kind, init), direction, y_budget, opts, store, theta_c)
             for init, direction in lanes]
     active = runs
     u = np.array([r.u for r in runs]).T.copy()
-    ks = np.empty((7, 6, len(runs)))
-    # a non-finite stage only rejects its lane's step, silently
+    # a non-finite coefficient only ends its lane, silently
     with np.errstate(all="ignore"):
-        _slope(f, u, ks[0])
         while active:
-            h = np.array([r.h for r in active])
-            u1, ratio = _step(f, u, ks, h, atol, rtol)
-            errs = _errors(ratio)
-            finite = np.isfinite(u1).all(axis=0).tolist()
-            keep, accepted, sampled = [], [], []
-            for m, (run, lane_u1, err) in enumerate(zip(active, u1.T.tolist(), errs)):
-                status = run.advance(lane_u1, err, finite[m] and math.isfinite(err), ks, m)
+            x = _series(kind, u)
+            ratios = (np.abs(x[-2:]) / (atol + rtol * np.abs(u))).max(axis=1).T.tolist()
+            h = np.array([run.step_size(*r) for run, r in zip(active, ratios)])
+            u1 = _horner(x[::-1], h)
+            finite = (np.isfinite(x).all(axis=(0, 1)) & np.isfinite(u1).all(axis=0)).tolist()
+            keep, sampled = [], []
+            for m, (run, lane_u1) in enumerate(zip(active, u1.T.tolist())):
+                if run.advance(lane_u1, finite[m], x, m):
+                    keep.append(m)
                 if run.pending is not None:
                     sampled.append(m)
-                if status is not None:
-                    keep.append(m)
-                    accepted.append(status)
             if sampled:
                 runs_s = [active[m] for m in sampled]
-                rows, ends = _sample_rows(u[:, sampled], u1[:, sampled], ks[:, :, sampled],
-                                          h[sampled], [r.pending for r in runs_s], opts.sample_h)
+                rows, ends = _sample_rows(x[:, :, sampled], h[sampled],
+                                          [r.pending for r in runs_s], opts.sample_h)
                 start = 0
                 for run, end in zip(runs_s, ends.tolist()):
                     run.rows.append(rows[start:end])
@@ -691,13 +691,8 @@ def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
                     start = end
             if len(keep) < len(active):
                 active = [active[m] for m in keep]
-                u, u1, ks = u[:, keep], u1[:, keep], ks[:, :, keep]
-            if all(accepted):
-                u = u1
-                ks[0] = ks[6]
-            elif any(accepted):
-                u[:, accepted] = u1[:, accepted]
-                ks[0][:, accepted] = ks[6][:, accepted]
+                u1 = u1[:, keep]
+            u = u1
     return [r.trajectory(kind) for r in runs]
 
 
@@ -740,6 +735,7 @@ class ClassificationReport:
     seed: Optional[int] = None
     forward: Optional[Trajectory] = None
     backward: Optional[Trajectory] = None
+    stats: tuple = ()  # IntegratorStats of the forward and backward runs
 
     def to_dict(self) -> dict:
         return {
@@ -752,6 +748,7 @@ class ClassificationReport:
             "max_abs_k": self.max_abs_k,
             "total_turning": self.total_turning,
             "options": asdict(self.options),
+            "integrator": dict(zip(("forward", "backward"), (s._asdict() for s in self.stats))),
         }
 
 
@@ -798,6 +795,7 @@ def _classify(kind, init, fwd, bwd, opts, store, seed) -> ClassificationReport:
         seed=seed,
         forward=fwd if store else None,
         backward=bwd if store else None,
+        stats=(fwd.stats, bwd.stats),
     )
 
 

@@ -93,6 +93,13 @@ def test_operator_second_order_convergence():
     assert errs[1] / errs[2] >= 3.5
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+def test_field_rejects_a_non_finite_domain_length(L):
+    # such a field would write rows its own reader rejects
+    with pytest.raises(ValueError, match="domain_length"):
+        GraphField(L, 0.0, np.zeros(8))
+
+
 def test_operator_rejects_coarse_grid():
     with pytest.raises(ValueError):
         GraphField(1.0, 0.0, np.zeros(6))

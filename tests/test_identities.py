@@ -96,7 +96,10 @@ def test_q_convexity_rejects_wrong_kind(tw_traj):
 
 
 def test_q_convexity_needs_uniform_sampling():
-    traj = integrate(SELFSIM, ProfileState.initial(k=0.3), 1, 0.5)
+    # theta-resolved rows of two steps, whose sub-steps differ in arc length
+    # (the rows of one step alone are equally spaced)
+    traj = integrate(SELFSIM, ProfileState.initial(k=0.3), 1, 1.0)
+    assert traj.stats.steps == 2
     with pytest.raises(ValueError):
         convexity_residual_q(traj)
 
