@@ -120,8 +120,8 @@ def _out_dir(args) -> Path:
 
 
 # The flags each command echoes as "config" in its JSON files.  sweep leaves
-# out --workers, which is execution infrastructure, not experiment identity:
-# its reports stay byte-identical for any worker count.
+# out --workers, which is accepted and has no effect: a sweep is one batch in
+# one process, so its reports are the same bytes whatever the flag reads.
 _CONFIG_KEYS = {
     "shoot": ("kind", "a", "b", "init", "random", "seed", "count",
               "budget", "abs_tol", "rel_tol", "sample_h"),
@@ -185,6 +185,8 @@ def _cmd_shoot(parser, args) -> int:
     kind = _kind_from_args(parser, args)
     opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol, sample_h=args.sample_h)
     if args.random:
+        if args.init is not None:
+            parser.error("--random draws its initial states; not with --init")
         inits = seeded_initial_states(args.seed, 0, args.count)
         reports = shoot_batch(kind, inits, args.budget, opts, seed=args.seed)
     else:
@@ -203,7 +205,7 @@ def _cmd_shoot(parser, args) -> int:
 def _cmd_sweep(parser, args) -> int:
     kind = _kind_from_args(parser, args)
     opts = IntegratorOptions(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    reports = run_sweep(kind, args.count, args.seed, args.budget, opts, workers=args.workers)
+    reports = run_sweep(kind, args.count, args.seed, args.budget, opts)
     out = _out_dir(args)
     counts = _write_reports(out, args, reports, trajectories=False)
     _write_json(out / "summary.json", args, {"counts": counts})
@@ -395,7 +397,8 @@ def build_parser():
 
     p = commands["sweep"] = sub.add_parser("sweep", help="seeded random classification sweep")
     _add_shoot_args(p)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="accepted and has no effect: a sweep runs in one process")
     _add_common(p)
 
     p = commands["verify"] = sub.add_parser("verify", help="identity checks on trajectory files")

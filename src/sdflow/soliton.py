@@ -36,16 +36,11 @@ pi.  A run thus ends with the budget exhausted or with a breakdown
 certificate: an excess-turning witness (the observed turning and its
 arc), graphicality loss (the slope at the event), or a numerical failure
 (non-finite coefficients or state, step underflow).
-
-A seeded sweep shoots one contiguous block of states per worker, at most
-one per CPU: the first in the calling process, each other in a child
-forked for it, which sends its reports back through a pipe.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -855,81 +850,17 @@ def seeded_initial_states(seed: int, start: int, stop: int) -> list:
     return [sample_initial_state(np.random.default_rng([seed, i])) for i in range(start, stop)]
 
 
-def _sweep_block(kind, seed, start, stop, y_budget, opts) -> list:
-    inits = seeded_initial_states(seed, start, stop)
-    return shoot_batch(kind, inits, y_budget, opts, store=False, seed=seed)
-
-
-def _sweep_child(job, fd) -> None:
-    """Shoot one block in a forked child; write its pickled reports, or its
-    exception, to the pipe ``fd``, which closes when the child exits."""
-    import pickle
-
-    try:
-        result = (True, _sweep_block(*job))
-    except Exception as exc:
-        result = (False, exc)
-    data = pickle.dumps(result)
-    with open(fd, "wb", closefd=False) as pipe:
-        pipe.write(data)
-
-
 def run_sweep(
     kind: SolitonKind,
     count: int,
     seed: int,
     y_budget: float = 200.0,
     opts: Optional[IntegratorOptions] = None,
-    workers: int = 1,
 ) -> list:
-    """Classify ``count`` seeded random initial states.
+    """Classify ``count`` seeded random initial states as one batch.
 
     Run i uses the PRNG stream (seed, i), and a lane's result does not
-    depend on its batch, so results do not depend on worker count or
-    scheduling.  The states are split into one contiguous block per
-    worker, at most one per CPU, each shot as one batch: the caller shoots
-    the first while one forked child per other block shoots its own.
+    depend on its batch, so each report is that of its state shot alone.
     """
-    if opts is None:
-        opts = IntegratorOptions()
-    blocks = max(1, min(workers, count, os.cpu_count() or 1))
-    bounds = [count * i // blocks for i in range(blocks + 1)]
-    jobs = [(kind, seed, lo, hi, y_budget, opts) for lo, hi in zip(bounds, bounds[1:])]
-    if len(jobs) == 1:
-        return _sweep_block(*jobs[0])
-    # imported here, so that commands with one block never load multiprocessing;
-    # fork, explicitly, shares the loaded modules with the children
-    import multiprocessing
-    import pickle
-
-    fork = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for job in jobs[1:]:
-            read, write = os.pipe()
-            pipe = open(read, "rb")
-            child = fork.Process(target=_sweep_child, args=(job, write))
-            try:
-                child.start()
-            finally:
-                os.close(write)
-            children.append((child, pipe))
-        reports = _sweep_block(*jobs[0])
-        for i, (child, pipe) in enumerate(children, 1):
-            data = pipe.read()
-            child.join()
-            if not data:
-                lo, hi = bounds[i], bounds[i + 1]
-                raise RuntimeError(f"sweep block {i} (states {lo} to {hi - 1}) exited with "
-                                   f"code {child.exitcode} without sending its reports")
-            ok, result = pickle.loads(data)
-            if not ok:
-                raise result
-            reports += result
-        return reports
-    finally:
-        for child, pipe in children:
-            pipe.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
+    return shoot_batch(kind, seeded_initial_states(seed, 0, count), y_budget, opts,
+                       store=False, seed=seed)

@@ -316,6 +316,7 @@ def test_sweep_summary_and_reproducibility(tmp_path):
 
 
 def test_sweep_workers_match_serial(tmp_path):
+    # --workers is accepted and has no effect
     a, b = tmp_path / "serial", tmp_path / "par"
     assert run(["sweep", "selfsimilar", "--count", 4, "--seed", 5, "--out", a]) == 0
     assert run(["sweep", "selfsimilar", "--count", 4, "--seed", 5, "--workers", 2, "--out", b]) == 0
@@ -325,9 +326,7 @@ def test_sweep_workers_match_serial(tmp_path):
 
 @pytest.mark.parametrize("count", [1, 7, 34])
 def test_sweep_chunked_pool_matches_serial(tmp_path, count):
-    # each worker shoots one contiguous block of states as one batch: 34
-    # states on 3 workers make blocks of 11, 11 and 12, and 1 state is one
-    # block however many workers are asked for
+    # a sweep is one batch in one process whatever --workers reads
     a = tmp_path / "serial"
     args = ["sweep", "steady", "--count", count, "--seed", 9]
     assert run(args + ["--workers", 1, "--out", a]) == 0
@@ -336,6 +335,24 @@ def test_sweep_chunked_pool_matches_serial(tmp_path, count):
         assert run(args + ["--workers", workers, "--out", b]) == 0
         for name in ["summary.json"] + [f"run_{i:03d}.json" for i in range(count)]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_shoot_random_takes_no_init(tmp_path, capsys, route):
+    # --init with --random was once ignored, and every report echoed it
+    # as config next to a different init
+    args = ["shoot", "steady", "--random", "--count", 2, "--seed", 4, "--out", tmp_path / "out"]
+    if route == "flag":
+        args += ["--init", "0,0,1,0"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("init=0,0,1,0\n")
+        args += ["--config", cfg]
+    assert run(args) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdflow shoot ")
+    assert "shoot: error: --random draws its initial states; not with --init" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, line", [

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -592,81 +591,7 @@ def test_reports_invariant_to_batch_size_and_workers(kind):
               for report in shoot_batch(kind, inits[i:i + 7], 200.0, store=False, seed=2027)]
     assert [report_json(r) for r in sevens] == expected
     assert [report_json(r) for r in shoot_batch(kind, inits, 200.0, store=False, seed=2027)] == expected
-    for workers in (1, 2, 3):
-        assert [report_json(r) for r in run_sweep(kind, 100, 2027, workers=workers)] == expected
-
-
-def test_sweep_pool_never_exceeds_the_cpus(monkeypatch):
-    # fork starts every child at once, so a sweep runs at most one block per
-    # CPU: the caller's and one child's per other block; the reports stay
-    # those of one batch
-    import multiprocessing
-
-    started = []
-
-    class InProcess:
-        """A child that runs its target in the caller when started."""
-
-        exitcode = 0
-
-        def __init__(self, target, args):
-            self.target, self.args = target, args
-
-        def start(self):
-            started.append(self)
-            self.target(*self.args)
-
-        def is_alive(self):
-            return False
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", InProcess)
-    expected = [report_json(r) for r in run_sweep(STEADY, 7, 3, workers=1)]
-    assert started == []
-    for cpus, workers, children in [(2, 2, 1), (2, 3, 1), (2, 7, 1), (2, 5000, 1), (8, 3, 2),
-                                    (None, 4, 0)]:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert [report_json(r) for r in run_sweep(STEADY, 7, 3, workers=workers)] == expected
-        assert len(started) == children
-        assert len(started) + 1 <= (cpus or 1)
-        started.clear()
-
-
-def _failing_block(how):
-    """A sweep block that fails in every block but the caller's (``how``)."""
-    from sdflow import soliton
-
-    shoot = soliton._sweep_block
-
-    def block(kind, seed, start, stop, y_budget, opts):
-        if how == "caller" and start == 0:
-            raise ValueError("the caller's block failed")
-        if how == "raise" and start > 0:
-            raise ValueError(f"block from state {start} failed")
-        if how == "exit" and start > 0:
-            os._exit(1)
-        return shoot(kind, seed, start, stop, y_budget, opts)
-
-    return block
-
-
-@pytest.mark.parametrize("how, error, message", [
-    ("raise", ValueError, "block from state 2 failed"),
-    ("exit", RuntimeError, r"sweep block 1 \(states 2 to 3\) exited with code 1"),
-    ("caller", ValueError, "the caller's block failed"),
-])
-def test_sweep_block_failure_reaches_the_caller(monkeypatch, how, error, message):
-    import multiprocessing
-
-    from sdflow import soliton
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(soliton, "_sweep_block", _failing_block(how))
-    with pytest.raises(error, match=message):
-        run_sweep(STEADY, 4, 3, workers=2)
-    assert multiprocessing.active_children() == []
+    assert [report_json(r) for r in run_sweep(kind, 100, 2027)] == expected
 
 
 @pytest.mark.parametrize("sample_h", [None, 0.01])
