@@ -21,13 +21,16 @@ puts vertices at equal arc length on the given polygon, so it never
 lengthens it either.  Self-intersections are never repaired, so
 immersed curves such as the figure eight evolve unhindered.
 
-scipy is imported inside the functions that call it, so that importing
-sdflow for shooting or the graph flow does not load it.
+scipy is loaded inside the functions that call it, so that importing
+sdflow for shooting or the graph flow does not load it.  The step loads
+only scipy's compiled LAPACK wrapper, not the scipy.linalg package.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
@@ -312,9 +315,14 @@ def seed_clothoid(s_max: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=8)
 def _bgn_layout(n: int):
-    """Read-only index arrays of a BGN step on n vertices, and dgbsv.  The band
-    is gbsv storage, (19, 3n) in Fortran order: entry (i, j) at flat 18 j + i + 12."""
-    from scipy.linalg import get_lapack_funcs
+    """Read-only index arrays of a BGN step on n vertices, and LAPACK's dgbsv.  The
+    band is gbsv storage, (19, 3n) in Fortran order: entry (i, j) at flat 18 j + i + 12.
+
+    dgbsv comes from scipy's compiled wrapper ``scipy.linalg._flapack``, loaded
+    by itself: finding the spec of ``scipy.linalg`` runs scipy's own light init
+    but not the one of ``scipy.linalg``, which takes some 0.3 s and 300 modules.
+    It is the very object ``get_lapack_funcs("gbsv", dtype=np.float64)`` gives.
+    """
     zigzag = np.minimum(np.arange(0, 2 * n, 2), np.arange(2 * n - 1, 0, -2))  # place of v
     i = 3 * zigzag + np.arange(3)[:, None]  # the unknowns kappa_v, x_v, y_v, by component
     j, (k, x, y) = np.roll(i, -1, axis=1), i  # those of v + 1, and each row of i
@@ -322,7 +330,13 @@ def _bgn_layout(n: int):
     pos = np.concatenate([(18 * col + row + 12).ravel() for row, col in entries])
     xy = i[1:].T.ravel()  # the position unknowns, (x_v, y_v) vertex by vertex
     pos.flags.writeable = k.flags.writeable = xy.flags.writeable = False
-    return pos, k, xy, get_lapack_funcs("gbsv", dtype=np.float64)
+    linalg = importlib.util.find_spec("scipy.linalg")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", linalg.submodule_search_locations
+    )
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return pos, k, xy, flapack.dgbsv
 
 
 def _bgn_step(pts: np.ndarray, dt: float, chords=None):
@@ -399,14 +413,18 @@ def flow(c: ClosedCurve, dt: float, t_end: float, frames: int = 64) -> FlowResul
     frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, c, monitors(c))]
     frame_times = [t_end * (j + 1) / frames for j in range(frames)]
     pts = c.points
+    chords = _chords(pts)  # shared by the collapse test and the next step
+    if np.min(chords[1]) < min_edge:
+        return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
     for tf in frame_times:
         for h, t in _steps_to(t, tf, dt, t_end):
-            chords = _chords(pts)  # shared by the collapse test and the step
-            if np.min(chords[1]) < min_edge:
-                return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
             _, pts = _bgn_step(pts, h, chords)
             if not np.all(np.isfinite(pts)):
                 return FlowResult(frames_out, FlowOutcome("failed", reason="non-finite"))
+            # before any ClosedCurve of pts, which refuses a zero-length edge
+            chords = _chords(pts)
+            if np.min(chords[1]) < min_edge:
+                return FlowResult(frames_out, FlowOutcome("failed", reason="edge collapse"))
 
             xs, ys = pts[:, 0], pts[:, 1]  # per column: faster than axis-0 reductions
             if math.hypot(xs.max() - xs.min(), ys.max() - ys.min()) < 1.5 * threshold:

@@ -513,6 +513,22 @@ def test_flow_curve_roundtrip_via_input_file(tmp_path):
     assert run(["flow-curve", "--input", short, "--out", tmp_path / "s"]) == 65
 
 
+def test_flow_curve_edge_collapse_writes_its_frames(tmp_path, capsys):
+    # the first step of an out-and-back needle lands an edge at length 0: once
+    # an exit 1 with no output, now a failed outcome with frame 0 written
+    x = np.concatenate([np.linspace(0.0, 1.0, 17), np.linspace(1.0, 0.0, 17)[1:-1]])
+    needle = tmp_path / "needle.csv"
+    needle.write_text("x,y\n" + "".join(f"{float(v)!r},0.0\n" for v in x))
+    with np.errstate(invalid="ignore"):  # frame 0's normals at the tips are 0/0
+        code = run(["flow-curve", "--input", needle, "--t-end", 0.01, "--out", tmp_path / "o"])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["outcome"] == {"kind": "failed", "reason": "edge collapse", "t_ext": None}
+    assert [fr["file"] for fr in manifest["frames"]] == ["curve_000.csv"]
+    assert (tmp_path / "o" / "curve_000.csv").exists()
+
+
 def test_flow_curve_input_takes_the_files_vertex_count(tmp_path, capsys):
     # --n with --input was once ignored, and the manifest still echoed it
     assert run(["flow-curve", "--seed", "circle", "--n", 64, "--dt", "1e-3",

@@ -10,6 +10,7 @@ from scipy.linalg import solve_banded
 
 from sdflow.curveflow import (
     ClosedCurve,
+    FlowOutcome,
     _bgn_layout,
     _bgn_step,
     _chords,
@@ -462,6 +463,27 @@ def test_flow_starts_from_the_given_vertices():
     res = flow(lem, dt=2e-3, t_end=0.01, frames=1)
     assert res.frames[0][1].points.tobytes() == lem.points.tobytes()
     assert res.frames[0][2].diameter == lem.diameter()
+
+
+def test_flow_fails_on_a_step_that_collapses_an_edge():
+    # an out-and-back needle on the x axis: its first step lands an edge at length
+    # exactly 0, which ClosedCurve refuses; the flow stops with the frames it has
+    # instead.  Frame 0's normals at the tips are 0/0, hence the errstate.
+    x = np.concatenate([np.linspace(0.0, 1.0, 17), np.linspace(1.0, 0.0, 17)[1:-1]])
+    pts = np.stack([x, np.zeros_like(x)], axis=1)
+    assert np.min(_chords(_bgn_step(pts, 2e-3)[1])[1]) == 0.0
+    with np.errstate(invalid="ignore"):
+        res = flow(ClosedCurve(pts), dt=2e-3, t_end=0.01, frames=4)
+    assert res.outcome == FlowOutcome("failed", reason="edge collapse")
+    assert len(res.frames) == 1 and res.frames[0][1].points.tobytes() == pts.tobytes()
+
+
+def test_flow_fails_on_a_collapsed_initial_edge():
+    pts = seed_circle(1.0, 32).points.copy()
+    pts[1] = pts[0] + 1e-14
+    res = flow(ClosedCurve(pts), dt=1e-3, t_end=0.01, frames=2)
+    assert res.outcome == FlowOutcome("failed", reason="edge collapse")
+    assert len(res.frames) == 1
 
 
 @pytest.mark.parametrize("frames", [0, -1])
