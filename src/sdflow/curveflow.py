@@ -17,8 +17,8 @@ normal taken from the old polygon.  It is unconditionally stable, never
 increases polygon length, leaves a regular polygon exactly stationary,
 and keeps vertices well spaced, so ``flow`` starts from the vertices it
 is given.  ``resample_uniform``, which ``flow-curve --input`` applies,
-puts vertices at equal arc length on the given polygon, so it never
-lengthens it either.  Self-intersections are never repaired, so
+puts the same number of vertices at equal arc length on the given
+polygon, so it never lengthens it either.  Self-intersections are never repaired, so
 immersed curves such as the figure eight evolve unhindered.
 
 scipy is loaded inside the functions that call it, so that importing
@@ -159,26 +159,16 @@ def _chords(points: np.ndarray):
     return edges, np.hypot(edges[:, 0], edges[:, 1])
 
 
-def _normals(points: np.ndarray) -> np.ndarray:
-    """Unit leftward normals of the centred chords."""
-    tang = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
-    tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
-    return np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-
-
 def _wrapped(points: np.ndarray, pad: int) -> np.ndarray:
     """A closed polyline as an open one, with ``pad`` vertices repeated at each end."""
     return np.concatenate([points[-pad:], points, points[:pad]])
 
 
-def curvature_profile(c: ClosedCurve):
-    """Signed per-vertex curvature and unit leftward normals.
-
-    Curvature is turning angle over arc-corrected spacing; the sign
-    convention follows the leftward normal of the traversal direction
-    (counterclockwise circles have positive curvature).
-    """
-    return open_curvature_profile(_wrapped(c.points, 2))[0][2:-2], _normals(c.points)
+def curvature_profile(c: ClosedCurve) -> np.ndarray:
+    """Signed per-vertex curvature: turning angle over arc-corrected
+    spacing, positive where the curve turns left (counterclockwise circles
+    have positive curvature)."""
+    return open_curvature_profile(_wrapped(c.points, 2))[0][2:-2]
 
 
 def _second_difference(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -229,13 +219,14 @@ def _equal_arc_index(closed: np.ndarray, n: int) -> np.ndarray:
     return np.interp(np.arange(n) * (s[-1] / n), s, np.arange(len(s)))
 
 
-def resample_uniform(c: ClosedCurve, n: Optional[int] = None) -> ClosedCurve:
-    """n vertices at equal arc length along the polygon, from vertex 0.
+def resample_uniform(c: ClosedCurve) -> ClosedCurve:
+    """As many vertices as ``c``, at equal arc length along its polygon,
+    from vertex 0.
 
     Each new vertex lies on the polygon, so the result is never longer.
     """
     closed = np.vstack([c.points, c.points[:1]])
-    u = _equal_arc_index(closed, c.n if n is None else n)
+    u = _equal_arc_index(closed, c.n)
     idx = np.arange(c.n + 1)
     return ClosedCurve(np.stack([np.interp(u, idx, col) for col in closed.T], axis=1), c.t)
 
@@ -401,11 +392,10 @@ def flow(c: ClosedCurve, dt: float, t_end: float, frames: int = 64) -> FlowResul
     min_edge = 1e-12 * d0
 
     def monitors(curve: ClosedCurve) -> CurveMonitors:
-        kappa, _ = curvature_profile(curve)
         return CurveMonitors(
             length=curve.length(),
             signed_area=curve.signed_area(),
-            max_curvature=float(np.max(np.abs(kappa))),
+            max_curvature=float(np.max(np.abs(curvature_profile(curve)))),
             diameter=curve.diameter(),
         )
 

@@ -10,7 +10,8 @@ combine into one Fourier update of w by the operator output F(w),
     w_new = w + irfft(dt rfft(F(w)) / (1 + dt m)),
 
 which is first order in time.  Where F(w) is exactly zero, as on every
-linear graph, w is left exactly unchanged.
+linear graph, w is left exactly unchanged.  A frame whose slope reaches
+``_SLOPE_CEILING`` (1e6) ends the run with ``GraphicalityLostError``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ class GraphicalityLostError(RuntimeError):
         self.max_slope = max_slope
 
 
+_SLOPE_CEILING = 1e6  # a frame whose slope reaches it has lost graphicality
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float
     t_end: float
-    slope_ceiling: float = 1e6
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -148,7 +151,7 @@ def evolve(
     each frame time exactly (the last step into a frame is shortened).
     Returns the final field and the list of (t, field, monitors) frames.
     Raises GraphicalityLostError at the first frame, t = 0 included,
-    whose slope reaches cfg.slope_ceiling.
+    whose slope reaches ``_SLOPE_CEILING``.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
@@ -161,7 +164,7 @@ def evolve(
             cur = step(cur, cfg if dt == cfg.dt else replace(cfg, dt=dt))
         t = tf
         mon = _monitors(cur, t)
-        if mon.max_slope >= cfg.slope_ceiling:
+        if mon.max_slope >= _SLOPE_CEILING:
             raise GraphicalityLostError(t, mon.max_slope)
         series.append((t, cur, mon))
     return cur, series

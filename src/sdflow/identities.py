@@ -12,7 +12,8 @@ both satisfy the same convexity identity in arc length S,
 
     d^2 Q / dS^2 = 2 w^2 >= 0,     w = dk/dS,
 
-for any choice of the constants (in y it reads (1/v) d/dy((1/v) dQ/dy),
+for any choice of c1 and c2, which drop out, and for M with the wave's
+own direction (a, b) (in y it reads (1/v) d/dy((1/v) dQ/dy),
 v = sqrt(1 + psi^2)).  Every derivative here is one three-point
 difference in S (``_d_ds``), which follows a profile up to a vertical
 tangent.  The checks evaluate the left side over a trajectory's dense
@@ -156,34 +157,29 @@ def _convexity_report(identity: str, traj: Trajectory, terms) -> IdentityReport:
     )
 
 
-def convexity_residual_q(traj: Trajectory, params: Optional[QParams] = None) -> IdentityReport:
+def convexity_residual_q(traj: Trajectory) -> IdentityReport:
     """Worst-case |Q_SS - 2 w^2| over a self-similar trajectory.
 
-    The identity holds for any constants: c1 drops out of Q_SS and c2 S
-    is linear in the grid variable, so ``params=None`` takes (0, 0).
+    The identity holds for any constants: c1 and c2 S, linear in the grid
+    variable, drop out of Q_SS, so Q is differenced without them.
     """
     if traj.kind.name != "selfsimilar":
         raise ValueError("Q convexity applies to self-similar trajectories")
     if traj.n < 7:
         raise ValueError("need at least 7 samples")
-    c2 = 0.0 if params is None else params.c2
     y, phi, k, S = traj.y, traj.phi, traj.k, traj.S
-    terms = (k * k, c2 * S, 0.25 * (y * y), 0.25 * (phi * phi), -0.25 * (S * S))
+    terms = (k * k, 0.25 * (y * y), 0.25 * (phi * phi), -0.25 * (S * S))
     return _convexity_report("q_convexity", traj, terms)
 
 
-def convexity_residual_m(
-    traj: Trajectory, a: Optional[float] = None, b: Optional[float] = None
-) -> IdentityReport:
-    """Worst-case |M_SS - 2 w^2| over a travelling-wave trajectory."""
+def convexity_residual_m(traj: Trajectory) -> IdentityReport:
+    """Worst-case |M_SS - 2 w^2| over a travelling-wave trajectory, for
+    the direction (a, b) of its kind."""
     if traj.kind.name != "travelling":
         raise ValueError("M convexity applies to travelling-wave trajectories")
     if traj.n < 7:
         raise ValueError("need at least 7 samples")
-    if a is None:
-        a = traj.kind.a
-    if b is None:
-        b = traj.kind.b
+    a, b = traj.kind.a, traj.kind.b
     terms = (traj.k * traj.k, 2.0 * a * traj.y, 2.0 * b * traj.phi)
     return _convexity_report("m_convexity", traj, terms)
 

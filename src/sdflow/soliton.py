@@ -29,13 +29,15 @@ depend on the batch.  Each step's own polynomial locates every event (the
 y budget, and the loss of graphicality, where |psi| reaches the slope
 ceiling) and gives every stored row, evaluated over the whole batch at
 once: up to the event, at sub-steps resolving the tangent angle, or with
-``sample_h`` at uniform points in arc length.  The curve is then followed
-past the vertical, unrecorded, until the curvature changes sign or the
-turning on the current arc of constant curvature sign is observed above
-pi.  A run thus ends with the budget exhausted or with a breakdown
-certificate: an excess-turning witness (the observed turning and its
-arc), graphicality loss (the slope at the event), or a numerical failure
-(non-finite coefficients or state, step underflow).
+``sample_h`` at uniform points in arc length (the tolerances and
+``sample_h`` are all a caller sets; every other setting is a constant).
+The curve is then followed past the vertical, unrecorded, until the
+curvature changes sign or the turning on the current arc of constant
+curvature sign is observed above pi.  A run thus ends with the budget
+exhausted or with a breakdown certificate: an excess-turning witness
+(the observed turning and its arc), graphicality loss (the slope at the
+event), or a numerical failure (non-finite coefficients or state, step
+underflow).
 """
 
 from __future__ import annotations
@@ -140,18 +142,12 @@ class ProfileState:
 class IntegratorOptions:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    min_step: float = 1e-14
-    max_step: float = 1.0
-    slope_ceiling: float = 1e6
-    theta_sample: float = 0.01
-    triviality_tol: float = 1e-9
     # Uniform output spacing in arc length; overrides theta-resolved
     # sampling so that finite-difference identity checks see a uniform grid.
     sample_h: Optional[float] = None
 
     def validate(self) -> None:
-        names = ["abs_tol", "rel_tol", "min_step", "max_step",
-                 "slope_ceiling", "theta_sample", "triviality_tol"]
+        names = ["abs_tol", "rel_tol"]
         if self.sample_h is not None:
             names.append("sample_h")
         for name in names:
@@ -225,7 +221,6 @@ class Trajectory:
     S: np.ndarray
     outcome: str  # 'completed' | 'breakdown'
     certificate: Optional[BreakdownCertificate]
-    options: IntegratorOptions
     max_abs_k: float
     max_turning: float
     stats: Optional[IntegratorStats] = None  # None when read from a file
@@ -257,7 +252,6 @@ class Trajectory:
             kind, direction, y, phi, psi, k, w, S,
             outcome=meta.get("outcome", "completed"),
             certificate=None,
-            options=IntegratorOptions(),
             max_abs_k=float(np.max(np.abs(k))),
             max_turning=float(np.max(np.abs(theta - theta[0]))),
         )
@@ -458,6 +452,17 @@ def _critical_angle(ceiling: float) -> float:
     return theta
 
 
+# Fixed settings: the step bounds in arc length (a shorter step is a step
+# underflow), the slope |psi| where graphicality is lost (|theta| = _THETA_C),
+# the most turning between theta-resolved rows, and the largest |k| and
+# turning of a trivial profile.
+_MIN_STEP, _MAX_STEP = 1e-14, 1.0
+_SLOPE_CEILING = 1e6
+_THETA_C = _critical_angle(_SLOPE_CEILING)
+_THETA_SAMPLE = 0.01
+_TRIVIALITY_TOL = 1e-9
+
+
 class _Lane:
     """Scalar control of one directional integration in a batch.
 
@@ -466,14 +471,14 @@ class _Lane:
     does not depend on the batch it runs in.
     """
 
-    __slots__ = ("direction", "y_budget", "opts", "store", "theta_c", "y_final",
+    __slots__ = ("direction", "y_budget", "sample_h", "store", "y_final",
                  "s", "u", "h", "rows", "pending", "grid_j", "theta0",
                  "max_abs_k", "max_turning", "steps", "min_h", "max_h",
                  "run_sign", "run_s", "run_theta", "event", "event_s", "certificate")
 
-    def __init__(self, u, direction, y_budget, opts, store, theta_c):
+    def __init__(self, u, direction, y_budget, sample_h, store):
         self.direction, self.y_budget = direction, y_budget
-        self.opts, self.store, self.theta_c = opts, store, theta_c
+        self.sample_h, self.store = sample_h, store
         self.y_final = u[_Y] + direction * y_budget
         self.s, self.u, self.h = 0.0, u, 0.0
         # stored rows (S, y, phi, theta, k, w): the initial state, then one
@@ -491,7 +496,7 @@ class _Lane:
         self.run_sign = 1 if k > 0.0 else -1 if k < 0.0 else 0
         self.run_s, self.run_theta = 0.0, u[_THETA]
         # where graphicality was lost
-        self.event = u if abs(u[_THETA]) >= theta_c else None
+        self.event = u if abs(u[_THETA]) >= _THETA_C else None
         self.event_s = 0.0
         self.certificate = None
 
@@ -502,16 +507,16 @@ class _Lane:
     def _graphicality_loss(self):
         return self._breakdown("graphicality_loss",
                                {"slope": math.tan(self.event[_THETA]),
-                                "ceiling": self.opts.slope_ceiling})
+                                "ceiling": _SLOPE_CEILING})
 
     def step_size(self, ratio_prev: float, ratio_last: float) -> float:
         """The next step, from the largest of the last two coefficients over
         their tolerance: 0.9 times the radius at which their terms reach it,
-        at most ``max_step``.  Python's float power: np.power differs from
+        at most ``_MAX_STEP``.  Python's float power: np.power differs from
         it in the last bit on about 5 % of inputs."""
         g = max(ratio_prev ** _ROOTS[0], ratio_last ** _ROOTS[1])
         h = 0.9 / g if g > 0.0 else math.inf
-        self.h = self.direction * min(h, self.opts.max_step)
+        self.h = self.direction * min(h, _MAX_STEP)
         return self.h
 
     def advance(self, u1, finite, x, m) -> bool:
@@ -521,8 +526,8 @@ class _Lane:
         A step with rows to store leaves their request in ``pending`` (see
         ``_sample_rows``).
         """
-        u, h, direction, opts = self.u, self.h, self.direction, self.opts
-        if not finite or abs(h) < opts.min_step:
+        u, h, direction = self.u, self.h, self.direction
+        if not finite or abs(h) < _MIN_STEP:
             if self.event is not None:
                 self.certificate = self._graphicality_loss()
             else:
@@ -540,13 +545,13 @@ class _Lane:
         if self.event is None:
             # the graphical part ends at the first of graphicality loss and budget
             t_end, stop = 1.0, None
-            theta_c, y_final = self.theta_c, self.y_final
+            y_final = self.y_final
             gap = direction * (u1[_Y] - y_final)
-            if abs(u1[_THETA]) >= theta_c or gap >= 0.0:
+            if abs(u1[_THETA]) >= _THETA_C or gap >= 0.0:
                 coefs = x[::-1, :, m].T.tolist()  # per component, highest first
-                if abs(u1[_THETA]) >= theta_c:
-                    t_end = _root(lambda t: abs(_horner(coefs[_THETA], t * h)) - theta_c,
-                                  1.0, abs(u1[_THETA]) - theta_c)
+                if abs(u1[_THETA]) >= _THETA_C:
+                    t_end = _root(lambda t: abs(_horner(coefs[_THETA], t * h)) - _THETA_C,
+                                  1.0, abs(u1[_THETA]) - _THETA_C)
                     stop = "graphicality"
                 if gap >= 0.0:
                     t = _root(lambda t: direction * (_horner(coefs[_Y], t * h) - y_final),
@@ -558,16 +563,16 @@ class _Lane:
             if stop == "budget":
                 u_end = (y_final, *u_end[1:])
 
-            sample_h = opts.sample_h
+            sample_h = self.sample_h
             if self.store and sample_h is None:
-                # sub-steps turning by at most theta_sample: of equal turning
+                # sub-steps turning by at most _THETA_SAMPLE: of equal turning
                 # where k keeps its sign (see _sample_rows), else of equal S
                 k0, k1 = u[_K], u_end[_K]
                 if k0 * k1 > 0.0:
                     turning = abs(u_end[_THETA] - u[_THETA])
                 else:
                     turning = max(abs(k0), abs(k1)) * abs(s_end - s)
-                n = math.ceil(turning / opts.theta_sample)
+                n = math.ceil(turning / _THETA_SAMPLE)
                 self.pending = (s, max(n, 1), t_end, (s_end, *(u_end[i] for i in _ROW)))
             elif self.store:
                 # uniform grid in arc length, the variable the steps advance:
@@ -630,7 +635,6 @@ class _Lane:
             S=rows[:, 0],
             outcome="completed" if cert is None else "breakdown",
             certificate=cert,
-            options=self.opts,
             max_abs_k=self.max_abs_k,
             max_turning=self.max_turning,
             stats=IntegratorStats(self.steps, _ORDER, self.min_h, self.max_h,
@@ -656,8 +660,7 @@ def _integrate_lanes(kind, lanes, y_budget, opts, store) -> list:
     if not lanes:
         return []
     atol, rtol = opts.abs_tol, opts.rel_tol
-    theta_c = _critical_angle(opts.slope_ceiling)
-    runs = [_Lane(_initial_state(kind, init), direction, y_budget, opts, store, theta_c)
+    runs = [_Lane(_initial_state(kind, init), direction, y_budget, opts.sample_h, store)
             for init, direction in lanes]
     active = runs
     u = np.array([r.u for r in runs]).T.copy()
@@ -696,7 +699,7 @@ def integrate(
     init: ProfileState,
     direction: int = 1,
     y_budget: float = 200.0,
-    opts: Optional[IntegratorOptions] = None,
+    opts: IntegratorOptions = IntegratorOptions(),
     store: bool = True,
 ) -> Trajectory:
     """Advance one profile from ``init`` until breakdown or budget.
@@ -706,8 +709,6 @@ def integrate(
     With ``store=False`` only monitors and the outcome are kept, which
     is what classification sweeps need.  This is a batch of one lane.
     """
-    if opts is None:
-        opts = IntegratorOptions()
     return _integrate_lanes(kind, [(init, direction)], y_budget, opts, store)[0]
 
 
@@ -772,8 +773,8 @@ def _classify(kind, init, fwd, bwd, opts, store, seed) -> ClassificationReport:
     elif (
         fwd.outcome == "completed"
         and bwd.outcome == "completed"
-        and max_abs_k <= opts.triviality_tol
-        and total_turning <= opts.triviality_tol
+        and max_abs_k <= _TRIVIALITY_TOL
+        and total_turning <= _TRIVIALITY_TOL
     ):
         outcome = "trivial"
     else:
@@ -798,7 +799,7 @@ def shoot_batch(
     kind: SolitonKind,
     inits: list,
     y_budget: float = 200.0,
-    opts: Optional[IntegratorOptions] = None,
+    opts: IntegratorOptions = IntegratorOptions(),
     store: bool = True,
     seed: Optional[int] = None,
 ) -> list:
@@ -807,8 +808,6 @@ def shoot_batch(
     Both directions of every state run as lanes of one batch; the reports
     are those of one ``shoot_bidirectional`` call per state.
     """
-    if opts is None:
-        opts = IntegratorOptions()
     lanes = [(init, direction) for init in inits for direction in (1, -1)]
     trajs = _integrate_lanes(kind, lanes, y_budget, opts, store)
     return [_classify(kind, init, fwd, bwd, opts, store, seed)
@@ -819,7 +818,7 @@ def shoot_bidirectional(
     kind: SolitonKind,
     init: ProfileState,
     y_budget: float = 200.0,
-    opts: Optional[IntegratorOptions] = None,
+    opts: IntegratorOptions = IntegratorOptions(),
     store: bool = True,
     seed: Optional[int] = None,
 ) -> ClassificationReport:
@@ -855,7 +854,7 @@ def run_sweep(
     count: int,
     seed: int,
     y_budget: float = 200.0,
-    opts: Optional[IntegratorOptions] = None,
+    opts: IntegratorOptions = IntegratorOptions(),
 ) -> list:
     """Classify ``count`` seeded random initial states as one batch.
 

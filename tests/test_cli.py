@@ -519,8 +519,7 @@ def test_flow_curve_edge_collapse_writes_its_frames(tmp_path, capsys):
     x = np.concatenate([np.linspace(0.0, 1.0, 17), np.linspace(1.0, 0.0, 17)[1:-1]])
     needle = tmp_path / "needle.csv"
     needle.write_text("x,y\n" + "".join(f"{float(v)!r},0.0\n" for v in x))
-    with np.errstate(invalid="ignore"):  # frame 0's normals at the tips are 0/0
-        code = run(["flow-curve", "--input", needle, "--t-end", 0.01, "--out", tmp_path / "o"])
+    code = run(["flow-curve", "--input", needle, "--t-end", 0.01, "--out", tmp_path / "o"])
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from sdflow.curveflow import ClosedCurve, seed_circle
 from sdflow.geometry import GraphField, _write_csv
-from sdflow.soliton import IntegratorOptions, SolitonKind, Trajectory
+from sdflow.soliton import SolitonKind, Trajectory
 
 # every finite float, with the extremes drawn often: signed zeros,
 # subnormals and the largest magnitudes
@@ -33,8 +33,8 @@ def trajectory(columns) -> Trajectory:
     """A trajectory with the six stored columns y, phi, psi, k, w, S."""
     y, phi, psi, k, w, S = columns
     kind = SolitonKind.travelling(1.0, -0.5)
-    return Trajectory(kind, -1, y, phi, psi, k, w, S, "breakdown", None,
-                      IntegratorOptions(), 0.0, 0.0)
+    return Trajectory(kind=kind, direction=-1, y=y, phi=phi, psi=psi, k=k, w=w, S=S,
+                      outcome="breakdown", certificate=None, max_abs_k=0.0, max_turning=0.0)
 
 
 @settings(max_examples=100, deadline=None)

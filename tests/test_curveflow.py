@@ -34,11 +34,8 @@ from sdflow.curveflow import (
 def test_circle_curvature_second_order():
     errs = {}
     for n in (16, 64, 512):
-        kappa, normals = curvature_profile(seed_circle(2.0, n))
+        kappa = curvature_profile(seed_circle(2.0, n))
         errs[n] = np.max(np.abs(kappa - 2.0))
-        # normals point at the center
-        pts = seed_circle(2.0, n).points
-        assert np.max(np.abs(pts + 0.5 * normals)) <= 1e-2
     assert errs[16] <= 1e-3
     assert errs[16] / errs[64] >= 16.0 * 0.8
     assert errs[512] <= 1e-8
@@ -185,7 +182,7 @@ def noisy_100_gon():
 def test_closed_stencils_match_reference_bit_for_bit(points):
     # the closed curve takes the open stencils on the wrapped polygon
     c = ClosedCurve(points)
-    kappa, _ = curvature_profile(c)
+    kappa = curvature_profile(c)
     ref_kappa, ref_arcs = reference_closed_curvature(points)
     assert kappa.tobytes() == ref_kappa.tobytes()
     assert open_curvature_profile(_wrapped(points, 2))[1][2:-1].tobytes() == ref_arcs.tobytes()
@@ -260,18 +257,17 @@ def arc_positions(poly, pts):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(16, 300), n_out=st.integers(16, 700), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(16, 300), seed=st.integers(0, 2**32 - 1),
        wobble=st.floats(0.0, 0.9), scale=st.floats(1e-3, 1e3))
-def test_resample_uniform_is_equal_arcs_on_the_polygon(n, n_out, seed, wobble, scale):
-    assume(n_out != n)
+def test_resample_uniform_is_equal_arcs_on_the_polygon(n, seed, wobble, scale):
     c = ClosedCurve(random_star(n, seed, wobble, scale), 0.25)
-    out = resample_uniform(c, n_out)
-    assert out.n == n_out and out.t == 0.25
+    out = resample_uniform(c)
+    assert out.n == n and out.t == 0.25
     assert out.points[0].tobytes() == c.points[0].tobytes()
     length = polygon_length(c.points)
     pos, gap = arc_positions(c.points, out.points[1:])
     assert np.max(gap) <= 1e-12 * scale
-    assert np.max(np.abs(pos - length * np.arange(1, n_out) / n_out)) <= 1e-12 * length
+    assert np.max(np.abs(pos - length * np.arange(1, n) / n)) <= 1e-12 * length
     assert polygon_length(out.points) <= length * (1.0 + 1e-12)
 
 
@@ -338,8 +334,6 @@ def test_lemniscate_homothetic_shrinker_oracle():
     # x(t) = (1 - t/T)^(1/4) x0 moves with normal speed -k_ss exactly when
     # k_ss = <x0, N> / (4T); for the seed this holds with T = a^4/24 = 3/2
     t_ext = 1.5
-    lem = seed_lemniscate(512)
-    _, normals = curvature_profile(lem)
     t = sp.symbols("t", real=True)
     a = sp.sqrt(6)
     assert a**4 / 24 == sp.Rational(3, 2)
@@ -348,10 +342,7 @@ def test_lemniscate_homothetic_shrinker_oracle():
     y = a * sp.sin(t) * sp.cos(t) / den
     xp, yp = sp.diff(x, t), sp.diff(y, t)
     speed = sp.sqrt(xp**2 + yp**2)
-    nx, ny = -yp / speed, xp / speed  # leftward normal, as in curvature_profile
-    assert [float(nx.subs(t, 0)), float(ny.subs(t, 0))] == pytest.approx(
-        normals[0].tolist(), abs=1e-9
-    )
+    nx, ny = -yp / speed, xp / speed  # leftward normal
     kappa = (xp * sp.diff(yp, t) - yp * sp.diff(xp, t)) / speed**3
     k_ss = sp.diff(sp.diff(kappa, t) / speed, t) / speed
     ratio = sp.lambdify(t, k_ss / (x * nx + y * ny), "math")
@@ -468,12 +459,11 @@ def test_flow_starts_from_the_given_vertices():
 def test_flow_fails_on_a_step_that_collapses_an_edge():
     # an out-and-back needle on the x axis: its first step lands an edge at length
     # exactly 0, which ClosedCurve refuses; the flow stops with the frames it has
-    # instead.  Frame 0's normals at the tips are 0/0, hence the errstate.
+    # instead, and frame 0's monitors divide by no zero chord
     x = np.concatenate([np.linspace(0.0, 1.0, 17), np.linspace(1.0, 0.0, 17)[1:-1]])
     pts = np.stack([x, np.zeros_like(x)], axis=1)
     assert np.min(_chords(_bgn_step(pts, 2e-3)[1])[1]) == 0.0
-    with np.errstate(invalid="ignore"):
-        res = flow(ClosedCurve(pts), dt=2e-3, t_end=0.01, frames=4)
+    res = flow(ClosedCurve(pts), dt=2e-3, t_end=0.01, frames=4)
     assert res.outcome == FlowOutcome("failed", reason="edge collapse")
     assert len(res.frames) == 1 and res.frames[0][1].points.tobytes() == pts.tobytes()
 

@@ -149,19 +149,21 @@ def test_rescale_commutes_with_evolve():
 
 
 def test_graphicality_abort():
+    # slopes up to 2e6, above the ceiling of 1e6
     x = np.arange(64) * L / 64
-    f = GraphField(L, 0.0, 2.0 * np.sin(2 * math.pi * x / L))
-    cfg = FlowConfig(dt=0.01, t_end=0.1, slope_ceiling=0.5)
-    with pytest.raises(GraphicalityLostError):
+    f = GraphField(L, 0.0, 2e6 * np.sin(2 * math.pi * x / L))
+    cfg = FlowConfig(dt=0.01, t_end=0.1)
+    with pytest.raises(GraphicalityLostError) as info:
         evolve(f, cfg, frames=4)
+    assert info.value.max_slope >= 1e6
 
 
 @pytest.mark.parametrize("t_end", [0.0, 0.1])
 def test_graphicality_abort_at_t_zero(t_end):
     # input already above the ceiling fails at frame 0, before any step
-    cfg = FlowConfig(dt=0.01, t_end=t_end, slope_ceiling=1.5)
+    cfg = FlowConfig(dt=0.01, t_end=t_end)
     with pytest.raises(GraphicalityLostError) as info:
-        evolve(sine_field(64, eps=2.0), cfg, frames=4)
+        evolve(sine_field(64, eps=2e6), cfg, frames=4)
     assert info.value.t == 0.0
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdflow.identities import (
@@ -82,14 +83,6 @@ def test_q_convexity_on_integrated_trajectory(ss_traj):
     assert rep.samples_used == ss_traj.n
 
 
-def test_q_convexity_parameter_invariance(ss_traj):
-    # c1, c2 enter affinely; the weighted second difference kills them up
-    # to finite-difference noise in S
-    r0 = convexity_residual_q(ss_traj, QParams(0.0, 0.0))
-    r1 = convexity_residual_q(ss_traj, q_paper_constants(0.5))
-    assert abs(r0.max_residual - r1.max_residual) <= 1e-5
-
-
 def test_q_convexity_rejects_wrong_kind(tw_traj):
     with pytest.raises(ValueError):
         convexity_residual_q(tw_traj)
@@ -120,7 +113,8 @@ def test_m_convexity_on_integrated_trajectory(tw_traj):
 
 
 def test_m_convexity_mismatched_direction_fails(tw_traj):
-    rep = convexity_residual_m(tw_traj, a=2.0, b=-1.0)
+    wrong = dataclasses.replace(tw_traj, kind=SolitonKind.travelling(2.0, -1.0))
+    rep = convexity_residual_m(wrong)
     assert rep.max_residual > 1e-2
 
 
@@ -214,14 +208,15 @@ def reference_convexity(traj, terms):
     return float(res[i]), float(traj.y[2:-2][i]), float(np.min(lhs))
 
 
-def reference_q(traj, c2=0.0):
-    """Q written out term by term; c1 drops out."""
+def reference_q(traj):
+    """Q written out term by term; c1 and c2 S drop out."""
     y, phi, k, S = traj.y, traj.phi, traj.k, traj.S
-    return reference_convexity(traj, (k * k, c2 * S, 0.25 * (y * y), 0.25 * (phi * phi),
+    return reference_convexity(traj, (k * k, 0.25 * (y * y), 0.25 * (phi * phi),
                                       -0.25 * (S * S)))
 
 
-def reference_m(traj, a, b):
+def reference_m(traj):
+    a, b = traj.kind.a, traj.kind.b
     return reference_convexity(traj, (traj.k * traj.k, 2.0 * a * traj.y, 2.0 * b * traj.phi))
 
 
@@ -248,8 +243,9 @@ def noisy_trajectory(kind, n, seed, direction, h):
     rng = np.random.default_rng(seed)
     phi, psi, k, w = rng.normal(size=(4, n)) * rng.uniform(0.1, 10.0, size=(4, 1))
     y = rng.uniform(-1, 1) + np.cumsum(np.abs(rng.normal(size=n))) * direction * h
-    return Trajectory(kind, direction, y, phi, psi, k, w, direction * h * np.arange(n),
-                      "completed", None, DENSE, 0.0, 0.0)
+    return Trajectory(kind=kind, direction=direction, y=y, phi=phi, psi=psi, k=k, w=w,
+                      S=direction * h * np.arange(n), outcome="completed", certificate=None,
+                      max_abs_k=0.0, max_turning=0.0)
 
 
 trajectory_args = dict(
@@ -261,24 +257,21 @@ trajectory_args = dict(
 
 
 @settings(max_examples=100, deadline=None)
-@given(**trajectory_args, c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0))
-def test_q_checks_match_reference_bit_for_bit(n, seed, direction, h, c1, c2):
+@given(**trajectory_args)
+def test_q_checks_match_reference_bit_for_bit(n, seed, direction, h):
     traj = noisy_trajectory(SELFSIM, n, seed, direction, h)
     rep = convexity_residual_q(traj)
     assert (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"]) == reference_q(traj)
-    rep = convexity_residual_q(traj, QParams(c1, c2))
-    got = (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"])
-    assert got == reference_q(traj, c2)
     assert q_upper_bound_residual(traj) == reference_q_bound(traj)
 
 
 @settings(max_examples=100, deadline=None)
 @given(**trajectory_args, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
 def test_m_and_tangential_match_reference_bit_for_bit(n, seed, direction, h, a, b):
-    kind = SolitonKind.travelling(1.0, 1.0)
-    traj = noisy_trajectory(kind, n, seed, direction, h)
-    rep = convexity_residual_m(traj, a, b)
+    assume(a * a + b * b > 0.0)  # a direction SolitonKind accepts
+    traj = noisy_trajectory(SolitonKind.travelling(a, b), n, seed, direction, h)
+    rep = convexity_residual_m(traj)
     got = (rep.max_residual, rep.y_at_max, rep.extra["min_weighted_second"])
-    assert got == reference_m(traj, a, b)
+    assert got == reference_m(traj)
     rep = tangential_identity_residual(traj, a, b)
     assert (rep.max_residual, rep.y_at_max) == reference_tangential(traj, a, b)

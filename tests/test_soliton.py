@@ -183,8 +183,7 @@ def test_integrate_argument_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("abs_tol", math.nan), ("rel_tol", math.inf), ("min_step", -math.inf),
-    ("max_step", math.nan), ("slope_ceiling", math.inf), ("sample_h", math.nan),
+    ("abs_tol", math.nan), ("rel_tol", math.inf), ("sample_h", math.nan),
     ("sample_h", math.inf), ("sample_h", 0.0),
 ])
 def test_options_must_be_positive_and_finite(field, value):
@@ -335,8 +334,9 @@ def test_redundant_derivative_detects_corruption():
 def test_redundant_derivative_needs_samples():
     traj = integrate(STEADY, ProfileState.initial(psi=0.5), 1, 10.0)
     short = Trajectory(
-        traj.kind, traj.direction, traj.y[:3], traj.phi[:3], traj.psi[:3],
-        traj.k[:3], traj.w[:3], traj.S[:3], "completed", None, traj.options, 0.0, 0.0,
+        kind=traj.kind, direction=traj.direction, y=traj.y[:3], phi=traj.phi[:3],
+        psi=traj.psi[:3], k=traj.k[:3], w=traj.w[:3], S=traj.S[:3], outcome="completed",
+        certificate=None, max_abs_k=0.0, max_turning=0.0,
     )
     with pytest.raises(ValueError):
         reduction_residual(short)
@@ -372,7 +372,7 @@ def test_report_json_contents():
     assert payload["certificate"]["detail"]["value"] > math.pi
     assert payload["kind"]["name"] == "steady"
     assert payload["seed"] == 3
-    assert payload["options"]["abs_tol"] == 1e-10
+    assert payload["options"] == {"abs_tol": 1e-10, "rel_tol": 1e-10, "sample_h": None}
 
 
 def test_certificate_invariants_enforced():
@@ -532,21 +532,22 @@ def _assert_same_report(a, b):
 
 
 # one self-similar lane per control path, for a 0.5 budget, steps of at
-# most 0.75 and at least 1e-5: (initial state, certificate or outcome)
+# most 1 and at least 1e-14: (initial state, certificate or outcome)
 _EDGE_LANES = [
     (dict(psi=0.5), "trivial"),  # a line
     (dict(psi=0.3, k=1e-6), "inconclusive"),  # the budget ends inside the first step
     (dict(psi=2e6), "graphicality_loss"),  # starts above the slope ceiling
     (dict(k=20.0), "angle_excess"),
     (dict(phi=1.51, psi=0.73, k=1.9, w=2.5), "graphicality_loss"),
-    (dict(k=1e8), "step_underflow"),  # its first step is below min_step
+    (dict(k=1e8), "angle_excess"),  # a circle of radius 1e-8, in two steps of 1.7e-8
+    (dict(k=1e15), "step_underflow"),  # its first step is below 1e-14
     (dict(phi=1e308, k=1e308), "non_finite"),
 ]
 
 
 @pytest.mark.parametrize("store, sample_h", [(True, None), (True, 0.01), (False, None)])
 def test_edge_lanes_match_their_batch_of_one(store, sample_h):
-    opts = IntegratorOptions(max_step=0.75, min_step=1e-5, sample_h=sample_h)
+    opts = IntegratorOptions(sample_h=sample_h)
     inits = [ProfileState.initial(**state) for state, _ in _EDGE_LANES]
     batch = shoot_batch(SELFSIM, inits, 0.5, opts, store=store)
     for (state, expected), init, report in zip(_EDGE_LANES, inits, batch, strict=True):
@@ -555,7 +556,7 @@ def test_edge_lanes_match_their_batch_of_one(store, sample_h):
     if store and sample_h is None:
         # one accepted step, then the budget: the initial sample and the end
         assert batch[1].forward.n == batch[1].backward.n == 2
-        assert 0.5 < batch[1].forward.S[-1] < 0.75
+        assert 0.5 < batch[1].forward.S[-1] < 1.0
 
 
 _state = st.tuples(*[st.sampled_from([0.0, -0.0, 1e-7, -3.0]) | st.floats(-2.0, 2.0)] * 4)
@@ -566,9 +567,7 @@ _state = st.tuples(*[st.sampled_from([0.0, -0.0, 1e-7, -3.0]) | st.floats(-2.0, 
     kind=st.sampled_from([STEADY, SELFSIM, SolitonKind.travelling(-0.7, 2.5)]),
     states=st.lists(_state, min_size=2, max_size=5),
     budget=st.sampled_from([0.05, 0.5, 3.0]),
-    opts=st.builds(IntegratorOptions, sample_h=st.sampled_from([None, 0.01]),
-                   min_step=st.sampled_from([1e-14, 1e-4]),
-                   max_step=st.sampled_from([1.0, 0.5])),
+    opts=st.builds(IntegratorOptions, sample_h=st.sampled_from([None, 0.01])),
     store=st.booleans(),
 )
 def test_random_batches_match_batches_of_one(kind, states, budget, opts, store):
