@@ -187,11 +187,15 @@ def _cmd_shoot(parser, args) -> int:
     if args.random:
         if args.init is not None:
             parser.error("--random draws its initial states; not with --init")
+        args.seed, args.count = args.seed or 0, args.count or 1
         inits = seeded_initial_states(args.seed, 0, args.count)
-        reports = shoot_batch(kind, inits, args.budget, opts, seed=args.seed)
+        reports = shoot_batch(kind, inits, args.budget, opts)
     else:
         if args.init is None:
             parser.error("either --init or --random is required")
+        given = [f"--{dest}" for dest in ("seed", "count") if getattr(args, dest) is not None]
+        if given:
+            parser.error(f"--init shoots the one state it gives; not with {', '.join(given)}")
         reports = [shoot_bidirectional(kind, _parse_init(parser, args.init), args.budget, opts)]
 
     counts = _write_reports(_out_dir(args), args, reports, trajectories=True)
@@ -216,7 +220,7 @@ def _cmd_sweep(parser, args) -> int:
 def _q_checks(traj: Trajectory) -> list:
     convexity = convexity_residual_q(traj)
     bound = q_upper_bound_residual(traj)
-    return [convexity, IdentityReport("q_bound", max(bound, 0.0), None, traj.n)]
+    return [convexity, IdentityReport("q_bound", max(bound, 0.0), None)]
 
 
 def _m_checks(traj: Trajectory) -> list:
@@ -226,8 +230,7 @@ def _m_checks(traj: Trajectory) -> list:
 
 def _steady_checks(traj: Trajectory) -> list:
     res_w, res_k = steady_first_integral_residuals(traj)
-    return [IdentityReport("steady_w", res_w, None, traj.n),
-            IdentityReport("steady_k", res_k, None, traj.n)]
+    return [IdentityReport("steady_w", res_w, None), IdentityReport("steady_k", res_k, None)]
 
 
 # Per trajectory kind: the checks `verify` runs, and the threshold of each
@@ -242,17 +245,18 @@ _VERIFY_CHECKS = {
 }
 
 
-def _verify_one(path: Path) -> list:
-    """The records of one trajectory file.  A value that overflows makes a
-    residual non-finite, which IdentityReport rejects (ValueError), so no
-    warning is raised and no NaN or inf is written."""
+def _verify_one(path: Path) -> dict:
+    """The sample count and the records of one trajectory file.  A value
+    that overflows makes a residual non-finite, which IdentityReport
+    rejects (ValueError), so no warning is raised and no NaN or inf is
+    written."""
     traj = Trajectory.from_csv(path.read_text())
     checks, thresholds = _VERIFY_CHECKS[traj.kind.name]
     with np.errstate(all="ignore"):
         reports = checks(traj) + [reduction_residual(traj)]
     for rep, threshold in zip(reports, thresholds + (1e-4,), strict=True):
         rep.threshold = threshold
-    return [rep.to_dict() for rep in reports]
+    return {"samples": traj.n, "checks": [rep.to_dict() for rep in reports]}
 
 
 def _cmd_verify(parser, args) -> int:
@@ -260,11 +264,11 @@ def _cmd_verify(parser, args) -> int:
     for name in args.trajectories:
         path = Path(name)
         try:
-            reports = _verify_one(path)
+            entry = _verify_one(path)
         except (OSError, ValueError) as exc:
             print(f"verify: {name}: {exc}", file=sys.stderr)
             return PARSE_ERROR
-        bundle.append({"file": name, "checks": reports})
+        bundle.append({"file": name, **entry})
     _write_json(_out_dir(args) / "verify.json", args, {"reports": bundle})
     ok = all(chk["pass"] for entry in bundle for chk in entry["checks"])
     for entry in bundle:
@@ -287,8 +291,7 @@ def _write_frames(out: Path, args, prefix: str, frames, entry, payload: dict) ->
         (out / name).write_text(shape.to_csv())
         monitors = mon.to_dict()
         manifest.append(entry(t, name, monitors))
-        # a graph frame's monitors repeat its t, which the t column holds
-        plot_rows += [(t, key, val) for key, val in monitors.items() if key != "t"]
+        plot_rows += [(t, key, val) for key, val in monitors.items()]
     _write_json(out / "manifest.json", args, {**payload, "frames": manifest})
     if args.emit_plot_data:
         rows = (f"{float(t)!r},{series},{float(val)!r}\n" for t, series, val in plot_rows)
@@ -391,6 +394,9 @@ def build_parser():
 
     p = commands["shoot"] = sub.add_parser("shoot", help="classify one or more initial states")
     _add_shoot_args(p)
+    # None, so that a --seed or --count given with --init is seen; a
+    # --random run fills in 0 and 1, which its config echoes
+    p.set_defaults(seed=None, count=None)
     p.add_argument("--init", default=None, help="phi,psi,k,w at y=0")
     p.add_argument("--sample-h", type=_positive, default=None)
     _add_common(p)

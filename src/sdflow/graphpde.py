@@ -80,7 +80,8 @@ class RescaleParams:
 
 @dataclass(frozen=True)
 class FrameMonitors:
-    t: float
+    """Monitors of one frame; the frame's time is held beside them."""
+
     max_slope: float
     turning_variation: float
     max_w: float
@@ -129,12 +130,11 @@ def step(f: GraphField, cfg: FlowConfig) -> GraphField:
         raise FlowDivergedError("non-finite field after step") from exc
 
 
-def _monitors(f: GraphField, t: float) -> FrameMonitors:
+def _monitors(f: GraphField) -> FrameMonitors:
     ux = f.slope_offset + _d1(f.values, f.dx)
     theta = np.arctan(ux)
     tv = float(np.sum(np.abs(np.diff(np.append(theta, theta[0])))))
     return FrameMonitors(
-        t=t,
         max_slope=float(np.max(np.abs(ux))),
         turning_variation=tv,
         max_w=float(np.max(np.abs(f.values))),
@@ -163,7 +163,7 @@ def evolve(
         for dt, t in _steps_to(t, tf, cfg.dt, cfg.t_end):
             cur = step(cur, cfg if dt == cfg.dt else replace(cfg, dt=dt))
         t = tf
-        mon = _monitors(cur, t)
+        mon = _monitors(cur)
         if mon.max_slope >= _SLOPE_CEILING:
             raise GraphicalityLostError(t, mon.max_slope)
         series.append((t, cur, mon))

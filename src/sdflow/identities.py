@@ -60,10 +60,12 @@ class QParams:
 
 @dataclass
 class IdentityReport:
+    """One check's worst residual, where it occurred and its verdict; the
+    caller names the trajectory (``verify``: file and sample count)."""
+
     identity: str
     max_residual: float
     y_at_max: Optional[float]
-    samples_used: int
     threshold: Optional[float] = None
     extra: Optional[dict] = None
 
@@ -82,7 +84,6 @@ class IdentityReport:
             "identity": self.identity,
             "max_residual": self.max_residual,
             "y_at_max": self.y_at_max,
-            "samples": self.samples_used,
             "threshold": self.threshold,
             "pass": self.passed,
         }
@@ -152,7 +153,6 @@ def _convexity_report(identity: str, traj: Trajectory, terms) -> IdentityReport:
         identity=identity,
         max_residual=float(res[i]),
         y_at_max=float(traj.y[2:-2][i]),
-        samples_used=traj.n,
         extra={"min_weighted_second": float(np.min(lhs))},
     )
 
@@ -199,7 +199,6 @@ def tangential_identity_residual(traj: Trajectory, a: float, b: float) -> Identi
         identity="tangential",
         max_residual=float(res[i]),
         y_at_max=float(traj.y[1:-1][i]),
-        samples_used=traj.n,
     )
 
 
@@ -216,7 +215,6 @@ def reduction_residual(traj: Trajectory) -> IdentityReport:
         identity="reduction",
         max_residual=float(res[i]),
         y_at_max=float(traj.y[1:-1][i]),
-        samples_used=traj.n,
     )
 
 

@@ -192,24 +192,24 @@ class BreakdownCertificate:
 
 
 class IntegratorStats(NamedTuple):
-    """What one directional integration did: the steps it took, the degree
-    of their Taylor polynomials, the smallest and largest |h| (None without
-    a step) and why it ended: 'budget' or its certificate's type.  (A named
-    tuple: a dataclass would add about 2 ms to every command's import.)"""
+    """What one directional integration did: the steps it took, the
+    smallest and largest |h| (None without a step) and why it ended:
+    'budget' or its certificate's type.  (A named tuple: a dataclass would
+    add about 2 ms to every command's import.)"""
 
     steps: int
-    order: int
     min_h: Optional[float]
     max_h: Optional[float]
     termination: str
 
 
-_TRAJECTORY_HEADER = "y,phi,psi,theta,k,w,S"
+_TRAJECTORY_HEADER = "y,phi,psi,k,w,S"
 
 
 @dataclass
 class Trajectory:
-    """Dense output of one directional integration."""
+    """Dense output of one directional integration; its CSV stores y, phi,
+    psi, k, w and S, and the tangent angle theta is arctan(psi)."""
 
     kind: SolitonKind
     direction: int
@@ -236,7 +236,7 @@ class Trajectory:
     def to_csv(self) -> str:
         meta = {"kind": self.kind.name, "a": self.kind.a, "b": self.kind.b,
                 "direction": self.direction, "outcome": self.outcome}
-        columns = (self.y, self.phi, self.psi, self.theta, self.k, self.w, self.S)
+        columns = (self.y, self.phi, self.psi, self.k, self.w, self.S)
         return _write_csv(_TRAJECTORY_HEADER, columns, meta)
 
     @staticmethod
@@ -244,13 +244,18 @@ class Trajectory:
         meta, rows = _read_csv(text, _TRAJECTORY_HEADER)
         try:
             kind = SolitonKind(meta["kind"], float(meta.get("a", 0.0)), float(meta.get("b", 0.0)))
-            direction = int(meta.get("direction", 1))
+            direction, outcome = int(meta["direction"]), meta["outcome"]
         except KeyError as exc:
             raise ValueError(f"missing trajectory metadata {exc}") from exc
-        y, phi, psi, theta, k, w, S = rows.T
+        if direction not in (1, -1):
+            raise ValueError("trajectory direction must be 1 or -1")
+        if outcome not in ("completed", "breakdown"):
+            raise ValueError(f"unknown trajectory outcome {outcome!r}")
+        y, phi, psi, k, w, S = rows.T
+        theta = np.arctan(psi)
         return Trajectory(
             kind, direction, y, phi, psi, k, w, S,
-            outcome=meta.get("outcome", "completed"),
+            outcome=outcome,
             certificate=None,
             max_abs_k=float(np.max(np.abs(k))),
             max_turning=float(np.max(np.abs(theta - theta[0]))),
@@ -637,7 +642,7 @@ class _Lane:
             certificate=cert,
             max_abs_k=self.max_abs_k,
             max_turning=self.max_turning,
-            stats=IntegratorStats(self.steps, _ORDER, self.min_h, self.max_h,
+            stats=IntegratorStats(self.steps, self.min_h, self.max_h,
                                   "budget" if cert is None else cert.kind),
         )
 
@@ -724,49 +729,36 @@ class ClassificationReport:
     init: ProfileState
     outcome: str  # 'trivial' | 'breakdown' | 'inconclusive'
     certificate: Optional[BreakdownCertificate]
-    direction: int
     max_abs_k: float
     total_turning: float
-    options: IntegratorOptions
-    seed: Optional[int] = None
     forward: Optional[Trajectory] = None
     backward: Optional[Trajectory] = None
     stats: tuple = ()  # IntegratorStats of the forward and backward runs
 
     def to_dict(self) -> dict:
         return {
-            "kind": {"name": self.kind.name, "a": self.kind.a, "b": self.kind.b},
             "init": asdict(self.init),
-            "seed": self.seed,
             "outcome": self.outcome,
             "certificate": self.certificate.to_dict() if self.certificate else None,
-            "direction": self.direction,
             "max_abs_k": self.max_abs_k,
             "total_turning": self.total_turning,
-            "options": asdict(self.options),
             "integrator": dict(zip(("forward", "backward"), (s._asdict() for s in self.stats))),
         }
 
 
-def _classify(kind, init, fwd, bwd, opts, store, seed) -> ClassificationReport:
+def _classify(kind, init, fwd, bwd, store) -> ClassificationReport:
     """Trivial requires both directions to complete the budget with
     negligible curvature and turning; a certificate from either
     direction yields Breakdown; anything else is Inconclusive.
     """
     max_abs_k = max(fwd.max_abs_k, bwd.max_abs_k)
     total_turning = max(fwd.max_turning, bwd.max_turning)
-    certificate = None
-    direction = 0
-    if fwd.certificate is not None and bwd.certificate is not None:
+    fc, bc = fwd.certificate, bwd.certificate
+    if fc is not None and bc is not None:
         # report the certificate closer to the initial point
-        if abs(fwd.certificate.y_event - init.y) <= abs(bwd.certificate.y_event - init.y):
-            certificate, direction = fwd.certificate, 1
-        else:
-            certificate, direction = bwd.certificate, -1
-    elif fwd.certificate is not None:
-        certificate, direction = fwd.certificate, 1
-    elif bwd.certificate is not None:
-        certificate, direction = bwd.certificate, -1
+        certificate = fc if abs(fc.y_event - init.y) <= abs(bc.y_event - init.y) else bc
+    else:
+        certificate = fc if fc is not None else bc
 
     if certificate is not None:
         outcome = "breakdown"
@@ -784,11 +776,8 @@ def _classify(kind, init, fwd, bwd, opts, store, seed) -> ClassificationReport:
         init=init,
         outcome=outcome,
         certificate=certificate,
-        direction=direction,
         max_abs_k=max_abs_k,
         total_turning=total_turning,
-        options=opts,
-        seed=seed,
         forward=fwd if store else None,
         backward=bwd if store else None,
         stats=(fwd.stats, bwd.stats),
@@ -801,7 +790,6 @@ def shoot_batch(
     y_budget: float = 200.0,
     opts: IntegratorOptions = IntegratorOptions(),
     store: bool = True,
-    seed: Optional[int] = None,
 ) -> list:
     """Classify every initial state in ``inits`` by shooting both ways.
 
@@ -810,7 +798,7 @@ def shoot_batch(
     """
     lanes = [(init, direction) for init in inits for direction in (1, -1)]
     trajs = _integrate_lanes(kind, lanes, y_budget, opts, store)
-    return [_classify(kind, init, fwd, bwd, opts, store, seed)
+    return [_classify(kind, init, fwd, bwd, store)
             for init, fwd, bwd in zip(inits, trajs[::2], trajs[1::2])]
 
 
@@ -820,11 +808,10 @@ def shoot_bidirectional(
     y_budget: float = 200.0,
     opts: IntegratorOptions = IntegratorOptions(),
     store: bool = True,
-    seed: Optional[int] = None,
 ) -> ClassificationReport:
     """Integrate in both directions and classify the initial state: a
     batch of one state (see ``_classify``)."""
-    return shoot_batch(kind, [init], y_budget, opts, store, seed)[0]
+    return shoot_batch(kind, [init], y_budget, opts, store)[0]
 
 
 # --------------------------------------------------------------------------
@@ -861,5 +848,4 @@ def run_sweep(
     Run i uses the PRNG stream (seed, i), and a lane's result does not
     depend on its batch, so each report is that of its state shot alone.
     """
-    return shoot_batch(kind, seeded_initial_states(seed, 0, count), y_budget, opts,
-                       store=False, seed=seed)
+    return shoot_batch(kind, seeded_initial_states(seed, 0, count), y_budget, opts, store=False)

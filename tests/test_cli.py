@@ -42,7 +42,7 @@ def test_shoot_random_sweep_all_breakdown(tmp_path):
     for i in range(5):
         payload = json.loads((tmp_path / f"report_{i:03d}.json").read_text())
         outcomes.add(payload["outcome"])
-        assert payload["seed"] == 42
+        assert payload["config"]["seed"] == 42
     assert outcomes == {"breakdown"}
 
 
@@ -60,12 +60,12 @@ def test_report_writer_file_names(tmp_path):
     # shoot and sweep write their reports through one writer; only shoot
     # stores trajectories, and shoot tags its names only for several reports
     single = ["report.json", "trajectory_bwd.csv", "trajectory_fwd.csv"]
-    base = ["shoot", "selfsimilar", "--budget", 5, "--seed", 4]
+    base = ["shoot", "selfsimilar", "--budget", 5]
     assert run(base + ["--init", "0.3,0.2,0.4,0.1", "--out", tmp_path / "init"]) == 0
     assert _names(tmp_path / "init") == single
-    assert run(base + ["--random", "--count", 1, "--out", tmp_path / "one"]) == 0
+    assert run(base + ["--random", "--seed", 4, "--count", 1, "--out", tmp_path / "one"]) == 0
     assert _names(tmp_path / "one") == single
-    assert run(base + ["--random", "--count", 2, "--out", tmp_path / "two"]) == 0
+    assert run(base + ["--random", "--seed", 4, "--count", 2, "--out", tmp_path / "two"]) == 0
     assert _names(tmp_path / "two") == [
         "report_000.json", "report_001.json",
         "trajectory_000_bwd.csv", "trajectory_000_fwd.csv",
@@ -179,16 +179,19 @@ def test_verify_records_pass_by_their_own_threshold(tmp_path):
                 "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
     # w off its first integral by 5e-8: above the w threshold, below the k one
     lines = (tmp_path / "sd" / "trajectory_fwd.csv").read_text().splitlines()
-    first = lines.index("y,phi,psi,theta,k,w,S") + 2
+    first = lines.index("y,phi,psi,k,w,S") + 2
     for i in range(first, len(lines)):
         cols = lines[i].split(",")
-        cols[5] = repr(float(cols[5]) + 5e-8)
+        cols[4] = repr(float(cols[4]) + 5e-8)
         lines[i] = ",".join(cols)
     bad = tmp_path / "perturbed.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert run(["verify", bad, "--out", tmp_path / "v"]) == 1
-    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"][0]["checks"]
+    entry = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"][0]
+    assert entry["samples"] == len(lines) - first + 1
+    checks = entry["checks"]
     for c in checks:
+        assert "samples" not in c
         assert c["pass"] == (c["max_residual"] <= c["threshold"]), c
     verdicts = [(c["identity"], c["pass"]) for c in checks]
     assert verdicts == [("steady_w", False), ("steady_k", True), ("reduction", True)]
@@ -215,7 +218,7 @@ def with_column(src, dst, col, fn):
     """Copy the trajectory file ``src`` to ``dst`` with ``fn`` applied to
     column ``col`` of every row."""
     lines = src.read_text().splitlines()
-    first = lines.index("y,phi,psi,theta,k,w,S") + 1
+    first = lines.index("y,phi,psi,k,w,S") + 1
     for i in range(first, len(lines)):
         cols = lines[i].split(",")
         cols[col] = repr(fn(float(cols[col])))
@@ -267,7 +270,7 @@ def test_verify_rejects_a_residual_that_overflows(tmp_path, capsys, kind, init, 
     assert run(["shoot", kind, "--init", init, "--budget", budget, "--sample-h", sample_h,
                 "--out", tmp_path / "s"]) == 2
     capsys.readouterr()
-    bad = with_column(tmp_path / "s" / "trajectory_fwd.csv", tmp_path / "huge.csv", 6,
+    bad = with_column(tmp_path / "s" / "trajectory_fwd.csv", tmp_path / "huge.csv", 5,
                       lambda s: 1e300 * s)
     assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
     assert not (tmp_path / "v").exists()
@@ -288,14 +291,53 @@ def test_verify_non_finite_field_parse_error(tmp_path):
     assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
                 "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
     lines = (tmp_path / "sd" / "trajectory_fwd.csv").read_text().splitlines()
-    row = lines.index("y,phi,psi,theta,k,w,S") + 5
+    row = lines.index("y,phi,psi,k,w,S") + 5
     cols = lines[row].split(",")
-    cols[5] = "nan"
+    cols[4] = "nan"
     lines[row] = ",".join(cols)
     bad = tmp_path / "nan.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
     assert not (tmp_path / "v" / "verify.json").exists()
+
+
+def test_verify_rejects_the_theta_column(tmp_path):
+    # trajectories once repeated theta = atan(psi) as a fourth column
+    assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
+                "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
+    lines = (tmp_path / "sd" / "trajectory_fwd.csv").read_text().splitlines()
+    header = lines.index("y,phi,psi,k,w,S")
+    lines[header] = "y,phi,psi,theta,k,w,S"
+    for i in range(header + 1, len(lines)):
+        cols = lines[i].split(",")
+        cols.insert(3, repr(math.atan(float(cols[2]))))
+        lines[i] = ",".join(cols)
+    old = tmp_path / "seven_columns.csv"
+    old.write_text("\n".join(lines) + "\n")
+    assert run(["verify", old, "--out", tmp_path / "v"]) == 65
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("# direction=1\n", "# direction=7\n"),
+    ("# direction=1\n", ""),
+    ("# outcome=completed\n", "# outcome=banana\n"),
+    ("# outcome=completed\n", ""),
+], ids=["direction-7", "no-direction", "outcome-banana", "no-outcome"])
+def test_verify_rejects_metadata_the_writer_never_writes(tmp_path, capsys, old, new):
+    # the reader once took any direction and outcome, and defaulted missing ones
+    assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
+                "--sample-h", "0.01", "--out", tmp_path / "sd"]) == 2
+    good = tmp_path / "sd" / "trajectory_fwd.csv"
+    assert run(["verify", good, "--out", tmp_path / "ok"]) == 0
+    text = good.read_text()
+    assert old in text
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
+    assert capsys.readouterr().err.startswith(f"verify: {bad}: ")
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_parse_error_makes_no_output_directory(tmp_path):
@@ -352,6 +394,28 @@ def test_shoot_random_takes_no_init(tmp_path, capsys, route):
     err = capsys.readouterr().err
     assert err.startswith("usage: sdflow shoot ")
     assert "shoot: error: --random draws its initial states; not with --init" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_shoot_init_takes_no_seed_or_count(tmp_path, capsys, route):
+    # --init once ignored --seed and --count, and every report echoed them
+    args = ["shoot", "steady", "--init", "0,0.5,0.3,0"]
+    assert run(args + ["--out", tmp_path / "plain"]) == 0
+    config = json.loads((tmp_path / "plain" / "report.json").read_text())["config"]
+    assert (config["seed"], config["count"]) == (None, None)
+    capsys.readouterr()
+    args += ["--out", tmp_path / "out"]
+    if route == "flag":
+        args += ["--seed", 7, "--count", 5]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed=7\ncount=5\n")
+        args += ["--config", cfg]
+    assert run(args) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdflow shoot ")
+    assert "shoot: error: --init shoots the one state it gives; not with --seed, --count" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -419,6 +483,9 @@ def test_flow_graph_zero_perturbation_frames_identical(tmp_path):
     assert len(frames) == 5
     first = (tmp_path / frames[0]["frame_file"]).read_text()
     assert all((tmp_path / fr["frame_file"]).read_text() == first for fr in frames)
+    # a frame's time is its entry's t, not repeated in its monitors
+    assert all(set(fr["monitors"]) == {"max_slope", "turning_variation", "max_w", "l2_w"}
+               for fr in frames)
 
 
 def test_flow_graph_emit_plot_data(tmp_path):

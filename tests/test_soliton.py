@@ -353,6 +353,7 @@ def test_trajectory_csv_roundtrip():
     assert back.outcome == traj.outcome
     assert np.array_equal(back.y, traj.y)
     assert np.array_equal(back.k, traj.k)
+    assert back.theta.tobytes() == traj.theta.tobytes()
 
 
 def test_trajectory_csv_rejects_garbage():
@@ -365,14 +366,16 @@ def test_trajectory_csv_rejects_garbage():
 
 
 def test_report_json_contents():
-    report = shoot_bidirectional(STEADY, ProfileState.initial(k=0.5), 50.0, seed=3)
+    report = shoot_bidirectional(STEADY, ProfileState.initial(k=0.5), 50.0)
     payload = json.loads(report_json(report))
     assert payload["outcome"] == "breakdown"
     assert payload["certificate"]["type"] == "angle_excess"
     assert payload["certificate"]["detail"]["value"] > math.pi
-    assert payload["kind"]["name"] == "steady"
-    assert payload["seed"] == 3
-    assert payload["options"] == {"abs_tol": 1e-10, "rel_tol": 1e-10, "sample_h": None}
+    # the kind, the options and the seed are the CLI's config echo, and the
+    # direction is the certificate's own
+    assert set(payload) == {"certificate", "init", "integrator", "max_abs_k", "outcome",
+                            "total_turning"}
+    assert set(payload["integrator"]["forward"]) == {"steps", "min_h", "max_h", "termination"}
 
 
 def test_certificate_invariants_enforced():
@@ -584,12 +587,12 @@ def test_reports_invariant_to_batch_size_and_workers(kind):
     inits = [sample_initial_state(np.random.default_rng([2027, i])) for i in range(100)]
     assert exported is shoot_batch
     assert seeded_initial_states(2027, 0, 100) == inits
-    expected = [report_json(shoot_bidirectional(kind, init, 200.0, store=False, seed=2027))
+    expected = [report_json(shoot_bidirectional(kind, init, 200.0, store=False))
                 for init in inits]
     sevens = [report for i in range(0, 100, 7)
-              for report in shoot_batch(kind, inits[i:i + 7], 200.0, store=False, seed=2027)]
+              for report in shoot_batch(kind, inits[i:i + 7], 200.0, store=False)]
     assert [report_json(r) for r in sevens] == expected
-    assert [report_json(r) for r in shoot_batch(kind, inits, 200.0, store=False, seed=2027)] == expected
+    assert [report_json(r) for r in shoot_batch(kind, inits, 200.0, store=False)] == expected
     assert [report_json(r) for r in run_sweep(kind, 100, 2027)] == expected
 
 
