@@ -28,6 +28,7 @@ from .geometry import GraphField, _unsigned_zeros
 from .graphpde import FlowConfig, FlowDivergedError, GraphicalityLostError, evolve
 from .identities import (
     IdentityReport,
+    _check_uniform,
     convexity_residual_m,
     convexity_residual_q,
     q_upper_bound_residual,
@@ -246,11 +247,13 @@ _VERIFY_CHECKS = {
 
 
 def _verify_one(path: Path) -> dict:
-    """The sample count and the records of one trajectory file.  A value
+    """The sample count and the records of one trajectory file, which must
+    be on the uniform grid in S of ``shoot --sample-h``.  A value
     that overflows makes a residual non-finite, which IdentityReport
     rejects (ValueError), so no warning is raised and no NaN or inf is
     written."""
     traj = Trajectory.from_csv(path.read_text())
+    _check_uniform(traj.S)
     checks, thresholds = _VERIFY_CHECKS[traj.kind.name]
     with np.errstate(all="ignore"):
         reports = checks(traj) + [reduction_residual(traj)]

@@ -7,8 +7,8 @@ the background A*x enters only through its (periodic) derivatives.
 
 ``_write_csv`` and ``_read_csv`` are the one CSV codec of the package:
 graph frames, trajectories and curve frames are each a header and float
-columns written and read through them (a graph frame is written from a
-per-grid template, ``_frame_rows``, with the codec's bytes).
+columns written and read through them.  A graph frame is the one column
+``w``: its grid, x_i = i L / n, is fixed by n and L, which the run states.
 ``_unsigned_zeros`` writes signed zeros as 0.0, for the codec and the
 command line's JSON files.
 ``_steps_to`` is the frame clock of the graph flow and the curve flow.
@@ -16,7 +16,6 @@ command line's JSON files.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,15 +93,6 @@ def _steps_to(t: float, tf: float, dt: float, t_end: float):
         yield h, t
 
 
-@functools.lru_cache(maxsize=16)
-def _frame_rows(n: int, domain_length: float) -> str:
-    """The ``_write_csv("x,w", ...)`` text of a graph frame on this grid,
-    with x already written and one %r left per row for w.  A run's frames
-    share their grid, so each writes only its w column."""
-    x = (np.arange(n) * (domain_length / n)).tolist()
-    return "x,w\n" + "\n".join([repr(xi) + ",%r" for xi in x]) + "\n"
-
-
 @dataclass(frozen=True)
 class GraphField:
     """Uniformly sampled periodic perturbation of a linear graph.
@@ -135,25 +125,19 @@ class GraphField:
     def dx(self) -> float:
         return self.domain_length / self.n
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n) * self.dx
-
     def with_values(self, values: np.ndarray) -> "GraphField":
         return GraphField(self.domain_length, self.slope_offset, values)
 
     def to_csv(self) -> str:
-        """The bytes of ``_write_csv("x,w", (self.x, self.values))``."""
-        return _frame_rows(self.n, self.domain_length) % tuple((self.values + 0.0).tolist())
+        """The frame: the column ``w``, row i at x = i * domain_length / n."""
+        return _write_csv("w", (self.values,))
 
     @staticmethod
-    def from_csv(text: str, slope_offset: float = 0.0) -> "GraphField":
-        _, rows = _read_csv(text, "x,w")
-        xs = rows[:, 0]
-        if xs.size < 2 or xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
-            raise ValueError("x column must ascend from 0")
-        # x spacing implies the cell length: x ends one step short of L
-        return GraphField((xs[1] - xs[0]) * xs.size, slope_offset, rows[:, 1])
+    def from_csv(text: str, domain_length: float, slope_offset: float = 0.0) -> "GraphField":
+        """The field of a ``to_csv`` frame on a cell of ``domain_length``;
+        a frame stores w alone, so the run supplies L and the slope."""
+        _, rows = _read_csv(text, "w")
+        return GraphField(domain_length, slope_offset, rows[:, 0])
 
 
 # The periodic stencils are written into one output through slices, with

@@ -20,7 +20,8 @@ tangent.  The checks evaluate the left side over a trajectory's dense
 samples and report the worst deviation from the right, independently of
 the integration route that produced the samples.  ``reduction_residual``
 checks the reduction of the profile equation itself, psi_y = k v^3 and
-k_y = w v, as theta_s = k and k_s = w.
+k_y = w v, as theta_s = k and k_s = w, and the columns y and phi against
+the tangent, y_s = cos theta and phi_s = sin theta.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def _d_ds(f: np.ndarray, S: np.ndarray) -> np.ndarray:
 def _check_uniform(S: np.ndarray) -> None:
     """Reject a grid that is not uniform in S, such as theta-resolved output."""
     d = np.diff(S)
-    if d[0] == 0 or not np.allclose(d, d[0], rtol=1e-6, atol=0.0):
+    if d.size == 0 or d[0] == 0 or not np.allclose(d, d[0], rtol=1e-6, atol=0.0):
         raise ValueError("identity checks need uniform dense sampling (sample_h)")
 
 
@@ -203,13 +204,16 @@ def tangential_identity_residual(traj: Trajectory, a: float, b: float) -> Identi
 
 
 def reduction_residual(traj: Trajectory) -> IdentityReport:
-    """Check the reduction in arc length, theta_s = k and k_s = w (psi_y =
-    k v^3 and k_y = w v divided by v^3 and v), on the samples of S, even
-    or not; the residual is the larger of the two."""
+    """Check the reduction in arc length, y_s = cos theta, phi_s = sin
+    theta, theta_s = k and k_s = w (psi_y = k v^3 and k_y = w v divided by
+    v^3 and v), on the samples of S; the residual is the largest of the
+    four.  cos and sin are taken of theta = arctan(psi), which stays
+    finite where v does not."""
     if traj.n < 5:
         raise ValueError("need at least 5 samples")
-    theta_s, k_s = _d_ds(traj.theta, traj.S), _d_ds(traj.k, traj.S)
-    res = np.maximum(np.abs(theta_s - traj.k[1:-1]), np.abs(k_s - traj.w[1:-1]))
+    S, theta = traj.S, traj.theta
+    pairs = ((traj.y, np.cos(theta)), (traj.phi, np.sin(theta)), (theta, traj.k), (traj.k, traj.w))
+    res = np.maximum.reduce([np.abs(_d_ds(f, S) - f_s[1:-1]) for f, f_s in pairs])
     i = int(np.argmax(res))
     return IdentityReport(
         identity="reduction",

@@ -243,7 +243,7 @@ class Trajectory:
     def from_csv(text: str) -> "Trajectory":
         meta, rows = _read_csv(text, _TRAJECTORY_HEADER)
         try:
-            kind = SolitonKind(meta["kind"], float(meta.get("a", 0.0)), float(meta.get("b", 0.0)))
+            kind = SolitonKind(meta["kind"], float(meta["a"]), float(meta["b"]))
             direction, outcome = int(meta["direction"]), meta["outcome"]
         except KeyError as exc:
             raise ValueError(f"missing trajectory metadata {exc}") from exc

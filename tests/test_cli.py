@@ -197,7 +197,8 @@ def test_verify_records_pass_by_their_own_threshold(tmp_path):
     assert verdicts == [("steady_w", False), ("steady_k", True), ("reduction", True)]
 
 
-@pytest.mark.parametrize("kind", [["selfsimilar"], ["travelling", "--a", "1", "--b", "0.5"]])
+@pytest.mark.parametrize("kind", [["selfsimilar"], ["travelling", "--a", "1", "--b", "0.5"],
+                                  ["steady"]])
 def test_verify_passes_a_breakdown_profile(tmp_path, kind):
     # every record is differenced in arc length, so it follows the profile into
     # the vertical tangent where it ends; differenced in y, both files failed
@@ -263,6 +264,21 @@ def test_verify_fails_a_trajectory_whose_speed_overflows(tmp_path, kind, init, b
 
 
 @UNIFORM_SHOOTS
+@pytest.mark.parametrize("col", [0, 1], ids=["y", "phi"])
+def test_verify_fails_a_trajectory_with_a_doubled_position(tmp_path, kind, init, budget,
+                                                           sample_h, col):
+    # no record read y or phi of a steady file, so a doubled column once passed;
+    # the reduction checks y_S = cos theta and phi_S = sin theta
+    assert run(["shoot", kind, "--init", init, "--budget", budget, "--sample-h", sample_h,
+                "--out", tmp_path / "s"]) == 2
+    bad = with_column(tmp_path / "s" / "trajectory_fwd.csv", tmp_path / "doubled.csv", col,
+                      lambda v: 2.0 * v)
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 1
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["reports"][0]["checks"]
+    assert checks[-1]["identity"] == "reduction" and not checks[-1]["pass"], checks
+
+
+@UNIFORM_SHOOTS
 def test_verify_rejects_a_residual_that_overflows(tmp_path, capsys, kind, init, budget, sample_h):
     # arc lengths of 1e300 are finite, but their squares in the difference
     # stencils (and in Q) are not: the residual is NaN, and json.dumps would
@@ -323,7 +339,9 @@ def test_verify_rejects_the_theta_column(tmp_path):
     ("# direction=1\n", ""),
     ("# outcome=completed\n", "# outcome=banana\n"),
     ("# outcome=completed\n", ""),
-], ids=["direction-7", "no-direction", "outcome-banana", "no-outcome"])
+    ("# a=0.0\n", ""),
+    ("# b=0.0\n", ""),
+], ids=["direction-7", "no-direction", "outcome-banana", "no-outcome", "no-a", "no-b"])
 def test_verify_rejects_metadata_the_writer_never_writes(tmp_path, capsys, old, new):
     # the reader once took any direction and outcome, and defaulted missing ones
     assert run(["shoot", "steady", "--init", "0,0.4,0,0.0001", "--budget", "30",
@@ -337,6 +355,15 @@ def test_verify_rejects_metadata_the_writer_never_writes(tmp_path, capsys, old, 
     capsys.readouterr()
     assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
     assert capsys.readouterr().err.startswith(f"verify: {bad}: ")
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_rejects_a_file_of_one_row(tmp_path):
+    # one row has no spacing in S to check for uniformity: a parse error
+    bad = tmp_path / "one_row.csv"
+    bad.write_text("# kind=steady\n# a=0.0\n# b=0.0\n# direction=1\n# outcome=completed\n"
+                   "y,phi,psi,k,w,S\n0.0,0.0,0.0,0.0,0.0,0.0\n")
+    assert run(["verify", bad, "--out", tmp_path / "v"]) == 65
     assert not (tmp_path / "v").exists()
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdflow.curveflow import ClosedCurve, seed_circle
-from sdflow.geometry import GraphField, _write_csv
+from sdflow.geometry import GraphField
 from sdflow.soliton import SolitonKind, Trajectory
 
 # every finite float, with the extremes drawn often: signed zeros,
@@ -52,27 +52,9 @@ def test_trajectory_csv_roundtrip_bit_for_bit(columns):
        length=st.floats(1e-3, 1e3))
 def test_graph_frame_csv_roundtrip_bit_for_bit(values, length):
     f = GraphField(length, 0.5, values)
-    back = GraphField.from_csv(f.to_csv(), slope_offset=0.5)
+    back = GraphField.from_csv(f.to_csv(), length, slope_offset=0.5)
     assert back.values.tobytes() == as_read(values)
-    assert back.domain_length == pytest.approx(length, rel=1e-14)
-
-
-# frame values on an even grid of 8 to 4,096 points; most entries take one
-# drawn fill value, so that large grids stay quick to draw
-FRAME_VALUES = st.integers(4, 2048).flatmap(
-    lambda half: arrays(np.float64, 2 * half, elements=VALUE, fill=VALUE))
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=FRAME_VALUES, b=FRAME_VALUES, la=st.floats(0.1, 100.0), lb=st.floats(0.1, 100.0))
-def test_graph_frame_template_writes_the_codec_bytes(a, b, la, lb):
-    # (n, L) alternates between calls: a row template cached on n alone,
-    # or on L alone, would write another grid's x column or row count
-    for values, length in ((a, la), (b, lb), (a, lb), (b, la), (a, la)):
-        f = GraphField(length, 0.5, values)
-        # compared outside the assert: pytest's diff of two long texts takes minutes
-        same = f.to_csv() == _write_csv("x,w", (f.x, f.values))
-        assert same, f"n={f.n}, L={length!r}"
+    assert back.domain_length == length
 
 
 # distinct vertices, so that consecutive vertices are distinct
@@ -88,7 +70,8 @@ def written_files() -> dict:
     columns = np.linspace(-1.0, 1.0, 60).reshape(6, 10)
     return {
         "trajectory": (Trajectory.from_csv, trajectory(columns).to_csv()),
-        "graph": (GraphField.from_csv, GraphField(2.0, 0.0, np.linspace(-1.0, 1.0, 16)).to_csv()),
+        "graph": (lambda text: GraphField.from_csv(text, 2.0),
+                  GraphField(2.0, 0.0, np.linspace(-1.0, 1.0, 16)).to_csv()),
         "curve": (ClosedCurve.from_csv, seed_circle(2.0, 16).to_csv()),
     }
 
@@ -102,7 +85,12 @@ def with_header_and_rows(text: str, edit) -> str:
 
 
 def last_value_of_first_row(token):
-    return lambda header, rows: [header, rows[0].rsplit(",", 1)[0] + "," + token, *rows[1:]]
+    # rpartition, not rsplit: a one-column row has no comma, and its one
+    # value must be the one replaced
+    def edit(header, rows):
+        head, comma, _ = rows[0].rpartition(",")
+        return [header, head + comma + token, *rows[1:]]
+    return edit
 
 
 EDITS = {
@@ -110,7 +98,7 @@ EDITS = {
     "inf": last_value_of_first_row("inf"),
     "-inf": last_value_of_first_row("-inf"),
     "not a number": last_value_of_first_row("x"),
-    "short row": lambda header, rows: [header, *rows[:-1], rows[-1].rsplit(",", 1)[0]],
+    "short row": lambda header, rows: [header, *rows[:-1], rows[-1].rpartition(",")[0]],
     "long row": lambda header, rows: [header, *rows[:-1], rows[-1] + ",1.0"],
     "every row long": lambda header, rows: [header, *(row + ",1.0" for row in rows)],
     "missing header": lambda header, rows: rows,

@@ -118,11 +118,11 @@ def test_field_csv_roundtrip():
     n, L = 16, 3.0
     rng = np.random.default_rng(3)
     f = GraphField(L, 0.25, rng.normal(size=n))
-    g = GraphField.from_csv(f.to_csv(), slope_offset=0.25)
-    assert g.domain_length == pytest.approx(L, rel=1e-15)
+    g = GraphField.from_csv(f.to_csv(), L, slope_offset=0.25)
+    assert (g.domain_length, g.slope_offset) == (L, 0.25)
     assert np.array_equal(f.values, g.values)
     with pytest.raises(ValueError):
-        GraphField.from_csv("a,b\n1,2\n")
+        GraphField.from_csv("a,b\n1,2\n", L)
 
 
 @st.composite

@@ -57,7 +57,8 @@ def test_import_loads_no_scipy(code):
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
-    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--out", tmp_path / "s"]
+    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--sample-h", 0.01,
+             "--out", tmp_path / "s"]
     assert main([str(a) for a in shoot]) == 0
     commands = [
         shoot,
@@ -73,7 +74,8 @@ def test_only_sweeps_load_the_process_pool(tmp_path):
     # no command loads the executor or multiprocessing: a sweep runs in the
     # calling process whatever --workers reads
     pool, fork = "concurrent.futures.process", "multiprocessing"
-    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--out", tmp_path / "s"]
+    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--sample-h", 0.01,
+             "--out", tmp_path / "s"]
     assert main([str(a) for a in shoot]) == 0
     verify = ["verify", tmp_path / "s" / "trajectory_fwd.csv", "--out", tmp_path / "v"]
     graph = ["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 2, "--out", tmp_path / "g"]
@@ -107,7 +109,8 @@ ALLOWED_IN_MAIN = {
 
 
 def test_commands_import_no_package_inside_main(tmp_path):
-    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--out", tmp_path / "s"]
+    shoot = ["shoot", "steady", "--init", "0,0.4,0,0.1", "--budget", 5, "--sample-h", 0.01,
+             "--out", tmp_path / "s"]
     assert main([str(a) for a in shoot]) == 0
     commands = [
         shoot,
