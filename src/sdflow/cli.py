@@ -1,11 +1,10 @@
 """Command-line driver for reproducible experiments.
 
-Commands: shoot, sweep, verify, flow-graph, flow-curve.  Configuration
-comes from plain key=value files (--config) with command-line flags
-taking precedence; every JSON file embeds the effective configuration
-and the package version, carries no timestamps, and serializes floats
-at shortest round-trip precision with signed zeros as 0.0, so identical
-runs produce identical bytes.
+Commands: shoot, sweep, verify, flow-graph, flow-curve.  Every setting
+is a command-line flag; every JSON file embeds the effective
+configuration and the package version, carries no timestamps, and
+serializes floats at shortest round-trip precision with signed zeros as
+0.0, so identical runs produce identical bytes.
 
 Exit codes: 0 certified or passed, 2 inconclusive, 1 runtime error,
 64 usage error, 65 parse error.
@@ -96,23 +95,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_config(path: str, allowed: set) -> dict:
-    """key=value file; unknown keys are rejected."""
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in allowed:
-            raise ValueError(f"unknown config key: {key}")
-        out[key] = val
-    return out
-
-
 def _out_dir(args) -> Path:
     root = args.out or os.environ.get("SDFLOW_OUT", "runs")
     path = Path(root)
@@ -135,10 +117,11 @@ _CONFIG_KEYS = {
 
 def _write_json(path: Path, args, payload: dict) -> None:
     """``payload`` with the package version and the command's config echo,
-    keys sorted and signed zeros written 0.0."""
+    keys sorted, signed zeros written 0.0, on one line with no spaces
+    (json's C encoder, which ``indent`` would replace with its Python one)."""
     config = {key: getattr(args, key) for key in _CONFIG_KEYS[args.command]}
     payload = _unsigned_zeros({**payload, "config": config, "version": __version__})
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_reports(out: Path, args, reports, trajectories: bool) -> dict:
@@ -323,8 +306,8 @@ def _cmd_flow_graph(parser, args) -> int:
 
 
 # (flag, dest, default) of each flow-curve flag that only a seed shape reads.
-# Their parser defaults are None, so a value given by a flag or a config key
-# is seen; a seed run then fills in these defaults, which its config echoes.
+# Their parser defaults are None, so a flag given with --input is seen; a
+# seed run then fills in these defaults, which its config echoes.
 _SEED_FLAGS = (("--seed", "seed_shape", None), ("--n", "n", 512), ("--kappa", "kappa", 2.0),
                ("--major", "major", 1.0), ("--minor", "minor", 0.5))
 
@@ -373,7 +356,6 @@ def _cmd_flow_curve(parser, args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (default $SDFLOW_OUT or ./runs)")
-    p.add_argument("--config", default=None, help="key=value config file")
 
 
 def _add_shoot_args(p: argparse.ArgumentParser) -> None:
@@ -454,23 +436,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # file values become defaults, so any flag or positional given wins
-            subparser = commands[args.command]
-            actions = {a.dest: a for a in subparser._actions}
-            overrides = _load_config(args.config, set(actions))
-            subparser.set_defaults(**{k: _coerce(actions[k], v) for k, v in overrides.items()})
-            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except ValueError as exc:
-        print(f"sdflow: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return _COMMANDS[args.command](commands[args.command], args)
     except SystemExit as exc:
@@ -478,19 +448,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, FlowDivergedError, GraphicalityLostError) as exc:
         print(f"sdflow: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _coerce(action, val: str):
-    if isinstance(action.const, bool):
-        return val.lower() in ("1", "true", "yes")
-    if action.type is not None:
-        try:
-            val = action.type(val)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"config {action.dest}: {exc}") from None
-    if action.choices is not None and val not in action.choices:
-        raise ValueError(f"config {action.dest}={val!r} is not one of {list(action.choices)}")
-    return val
 
 
 if __name__ == "__main__":

@@ -391,16 +391,16 @@ def flow(c: ClosedCurve, dt: float, t_end: float, frames: int = 64) -> FlowResul
     threshold = _EXTINCTION_FRAC * d0
     min_edge = 1e-12 * d0
 
-    def monitors(curve: ClosedCurve) -> CurveMonitors:
+    def monitors(curve: ClosedCurve, diameter: float) -> CurveMonitors:
         return CurveMonitors(
             length=curve.length(),
             signed_area=curve.signed_area(),
             max_curvature=float(np.max(np.abs(curvature_profile(curve)))),
-            diameter=curve.diameter(),
+            diameter=diameter,
         )
 
     t = 0.0
-    frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, c, monitors(c))]
+    frames_out: List[Tuple[float, ClosedCurve, CurveMonitors]] = [(0.0, c, monitors(c, d0))]
     frame_times = [t_end * (j + 1) / frames for j in range(frames)]
     pts = c.points
     chords = _chords(pts)  # shared by the collapse test and the next step
@@ -419,12 +419,13 @@ def flow(c: ClosedCurve, dt: float, t_end: float, frames: int = 64) -> FlowResul
             xs, ys = pts[:, 0], pts[:, 1]  # per column: faster than axis-0 reductions
             if math.hypot(xs.max() - xs.min(), ys.max() - ys.min()) < 1.5 * threshold:
                 cc = ClosedCurve(pts, t)
-                if cc.diameter() < threshold:
-                    frames_out.append((t, cc, monitors(cc)))
+                d = cc.diameter()
+                if d < threshold:
+                    frames_out.append((t, cc, monitors(cc, d)))
                     return FlowResult(frames_out, FlowOutcome("extinct", t_ext=t))
         t = tf
         cc = ClosedCurve(pts, t)
-        frames_out.append((t, cc, monitors(cc)))
+        frames_out.append((t, cc, monitors(cc, cc.diameter())))
     return FlowResult(frames_out, FlowOutcome("reached"))
 
 

@@ -114,15 +114,6 @@ def test_non_finite_or_non_positive_flags_usage_error(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line", ["budget=nan", "abs_tol=inf", "sample_h=0", "a=nan"])
-def test_non_finite_or_non_positive_config_usage_error(tmp_path, line):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(line + "\n")
-    args = ["shoot", "travelling", "--b", "1", "--init", "0,1,0,0", "--config", cfg]
-    assert run(args + ["--out", tmp_path / "out"]) == 64
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("args", [
     ["flow-graph", "--n", 64, "--frames", 0],
     ["flow-graph", "--n", 64, "--frames", -1],
@@ -144,18 +135,19 @@ def test_frames_and_workers_must_be_positive(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("args, line", [
-    (["flow-graph", "--n", 64], "frames=0"),
-    (["flow-curve", "--seed", "circle", "--n", 64], "frames=-1"),
-    (["sweep", "steady", "--count", 2], "workers=0"),
-    (["sweep", "steady"], "count=-3"),
-    (["shoot", "steady", "--random"], "count=0"),
-    (["shoot", "steady", "--random"], "seed=-1"),
-])
-def test_frames_and_workers_must_be_positive_in_config(tmp_path, args, line):
+@pytest.mark.parametrize("args", [
+    ["shoot", "steady", "--init", "0,1,0,0"],
+    ["sweep", "steady"],
+    ["verify", "trajectory_fwd.csv"],
+    ["flow-graph"],
+    ["flow-curve", "--seed", "circle"],
+], ids=lambda args: args[0])
+def test_no_command_takes_a_config_file(tmp_path, capsys, args):
+    # every setting is a flag: key=value files are not a second route to them
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(line + "\n")
+    cfg.write_text("budget=5\n")
     assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) == 64
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -406,99 +398,40 @@ def test_sweep_chunked_pool_matches_serial(tmp_path, count):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-@pytest.mark.parametrize("route", ["flag", "config"])
-def test_shoot_random_takes_no_init(tmp_path, capsys, route):
+@pytest.mark.parametrize("init", [["--init", "0,0,1,0"]], ids=["flag"])
+def test_shoot_random_takes_no_init(tmp_path, capsys, init):
     # --init with --random was once ignored, and every report echoed it
     # as config next to a different init
     args = ["shoot", "steady", "--random", "--count", 2, "--seed", 4, "--out", tmp_path / "out"]
-    if route == "flag":
-        args += ["--init", "0,0,1,0"]
-    else:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("init=0,0,1,0\n")
-        args += ["--config", cfg]
-    assert run(args) == 64
+    assert run(args + init) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage: sdflow shoot ")
     assert "shoot: error: --random draws its initial states; not with --init" in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("route", ["flag", "config"])
-def test_shoot_init_takes_no_seed_or_count(tmp_path, capsys, route):
+@pytest.mark.parametrize("seed_and_count", [["--seed", 7, "--count", 5]], ids=["flag"])
+def test_shoot_init_takes_no_seed_or_count(tmp_path, capsys, seed_and_count):
     # --init once ignored --seed and --count, and every report echoed them
     args = ["shoot", "steady", "--init", "0,0.5,0.3,0"]
     assert run(args + ["--out", tmp_path / "plain"]) == 0
     config = json.loads((tmp_path / "plain" / "report.json").read_text())["config"]
     assert (config["seed"], config["count"]) == (None, None)
     capsys.readouterr()
-    args += ["--out", tmp_path / "out"]
-    if route == "flag":
-        args += ["--seed", 7, "--count", 5]
-    else:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("seed=7\ncount=5\n")
-        args += ["--config", cfg]
-    assert run(args) == 64
+    assert run(args + seed_and_count + ["--out", tmp_path / "out"]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage: sdflow shoot ")
     assert "shoot: error: --init shoots the one state it gives; not with --seed, --count" in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag, line", [
-    (["--init", "0,1,0,0"], "init=0,1,0,0"),
-    (["--sample-h", "0.5"], "sample_h=0.5"),
-])
-def test_sweep_takes_no_init_or_sample_h(tmp_path, flag, line):
+@pytest.mark.parametrize("flag", [["--init", "0,1,0,0"], ["--sample-h", "0.5"]],
+                         ids=["init", "sample-h"])
+def test_sweep_takes_no_init_or_sample_h(tmp_path, flag):
     # sweep once ignored --init, and echoed --sample-h in no summary
     args = ["sweep", "steady", "--random", "--count", 2, "--out", tmp_path / "out"]
     assert run(args + flag) == 64
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(line + "\n")
-    assert run(args + ["--config", cfg]) == 64
     assert not (tmp_path / "out").exists()
-
-
-def test_config_file_with_overrides(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("count=3\nseed=9\n")
-    out = tmp_path / "r"
-    assert run(["sweep", "steady", "--config", cfg, "--seed", 11, "--out", out]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["count"] == 3  # from config file
-    assert summary["config"]["seed"] == 11  # flag wins
-
-
-@pytest.mark.parametrize("seed_flag", [["--seed=11"], ["--se", "11"]])
-def test_config_loses_to_flag_spellings(tmp_path, seed_flag):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("count=2\nseed=9\n")
-    out = tmp_path / "r"
-    assert run(["sweep", "steady", "--config", cfg, *seed_flag, "--out", out]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["seed"] == 11
-
-
-def test_config_loses_to_positional_kind(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("count=2\nkind=selfsimilar\n")
-    out = tmp_path / "r"
-    assert run(["sweep", "steady", "--config", cfg, "--out", out]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["kind"] == "steady"
-
-
-def test_config_value_outside_choices_usage_error(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed_shape=bogus\n")
-    assert run(["flow-curve", "--n", 64, "--t-end", 0.01, "--config", cfg, "--out", tmp_path]) == 64
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("not_a_key=1\n")
-    assert run(["sweep", "steady", "--config", cfg, "--out", tmp_path]) == 64
 
 
 def test_flow_graph_zero_perturbation_frames_identical(tmp_path):
@@ -550,18 +483,12 @@ def test_flow_curve_has_no_resample_option(tmp_path):
     # the curve flow keeps its own vertices well spaced: no periodic resample
     assert run(["flow-curve", "--seed", "circle", "--resample-every", "5",
                 "--out", tmp_path / "out"]) == 64
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("resample_every=5\n")
-    assert run(["flow-curve", "--seed", "circle", "--config", cfg, "--out", tmp_path / "out"]) == 64
     assert not (tmp_path / "out").exists()
 
 
 def test_flow_graph_has_no_scheme_option(tmp_path):
     # the graph flow has one scheme, the semi-implicit one
     assert run(["flow-graph", "--n", 64, "--scheme", "semi_implicit", "--out", tmp_path / "out"]) == 64
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("scheme=semi_implicit\n")
-    assert run(["flow-graph", "--n", 64, "--config", cfg, "--out", tmp_path / "out"]) == 64
     assert not (tmp_path / "out").exists()
     assert run(["flow-graph", "--n", 64, "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "g"]) == 0
     manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
@@ -647,12 +574,10 @@ def test_flow_curve_input_takes_the_files_vertex_count(tmp_path, capsys):
     assert json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]["n"] == 512
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("shape", [
-    ("seed_shape", "--seed", "ellipse"), ("kappa", "--kappa", "5"),
-    ("major", "--major", "2"), ("minor", "--minor", "0.25")],
-    ids=["seed", "kappa", "major", "minor"])
-def test_flow_curve_input_rejects_seed_shape_flags(tmp_path, capsys, shape, source):
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "ellipse"), ("--kappa", "5"), ("--major", "2"), ("--minor", "0.25")],
+    ids=["seed-flag", "kappa-flag", "major-flag", "minor-flag"])
+def test_flow_curve_input_rejects_seed_shape_flags(tmp_path, capsys, flag, value):
     # the file's curve was once run while the manifest echoed the seed's shape
     assert run(["flow-curve", "--seed", "circle", "--n", 64, "--dt", "1e-3",
                 "--t-end", 0.01, "--frames", 1, "--out", tmp_path / "c"]) == 0
@@ -660,15 +585,8 @@ def test_flow_curve_input_rejects_seed_shape_flags(tmp_path, capsys, shape, sour
     assert {key: seed_manifest["config"][key] for key in ("kappa", "major", "minor")} == {
         "kappa": 2.0, "major": 1.0, "minor": 0.5}
     curve_file = tmp_path / "c" / "curve_001.csv"
-    key, flag, value = shape
-    if source == "flag":
-        extra = [flag, value]
-    else:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"{key}={value}\n")
-        extra = ["--config", cfg]
     capsys.readouterr()
-    assert run(["flow-curve", "--input", curve_file, *extra, "--dt", "1e-3", "--t-end", 0.01,
+    assert run(["flow-curve", "--input", curve_file, flag, value, "--dt", "1e-3", "--t-end", 0.01,
                 "--frames", 1, "--out", tmp_path / "i"]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage: sdflow flow-curve ")

@@ -28,8 +28,8 @@ from sdflow.soliton import (
 
 
 def report_json(report):
-    """A report as the command line writes it: its dict, keys sorted, indent 1."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=1)
+    """A report as the command line writes it: its dict, keys sorted, no spaces."""
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 STEADY = SolitonKind.steady()
